@@ -339,12 +339,17 @@ def cmd_eval(ns) -> int:
 def cmd_explain(ns) -> int:
     values = _resolve("explain", ns)
     net = load_network(values["model"])
-    out = Path(values["out"])
-    out.mkdir(parents=True, exist_ok=True)
     train_ds, test_ds = _load_split(values["data"], values["test_fraction"], values["seed"])
     dataset = _pick(train_ds, test_ds, values["on"])
-
+    # everything that can reject the input runs before the first write
+    i = values["sample"]
+    if i is not None and not 0 <= i < len(dataset.features):
+        raise ValueError(f"index-out-of-range: sample {i} outside [0, {len(dataset.features)})")
     scores = edge_scores(net, dataset)
+    curves = sample_activation_curves(net, values["points"])
+    out = Path(values["out"])
+    out.mkdir(parents=True, exist_ok=True)
+
     raw, normalized, ranking = propagate_scores(scores)
     ids, labels = _feature_ids(net)
     rank_of = {p: r for r, p in enumerate(ranking)}
@@ -354,17 +359,8 @@ def cmd_explain(ns) -> int:
         [(ids[p], raw[p], normalized[p], rank_of[p]) for p in range(len(ids))],
     )
     (out / "structure.dot").write_text(export_dot(net, scores))
-    _write_csv(
-        out / "curves.csv",
-        ("layer", "q", "p", "x", "phi"),
-        sample_activation_curves(net, values["points"]),
-    )
-    if values["sample"] is not None:
-        i = values["sample"]
-        if not 0 <= i < len(dataset.features):
-            raise ValueError(
-                f"index-out-of-range: sample {i} outside [0, {len(dataset.features)})"
-            )
+    _write_csv(out / "curves.csv", ("layer", "q", "p", "x", "phi"), curves)
+    if i is not None:
         path = decision_path(net, dataset.features[i])
         _write_csv(
             out / "sample_path.csv",

@@ -24,9 +24,9 @@ from kancredit.network import (
     CHUNK,
     KanNetwork,
     edge_forward,
+    _layer_batch,
     flatten_params,
     network_forward,
-    _layer_arrays,
 )
 
 __all__ = [
@@ -77,25 +77,26 @@ def _features_of(dataset) -> np.ndarray:
     return x
 
 
+def _edge_outputs(net: KanNetwork, x: np.ndarray):
+    """Yield (layer index, phi) for every layer of every chunk of ``x``."""
+    for lo in range(0, x.shape[0], CHUNK):
+        cur = x[lo : lo + CHUNK]
+        for li, layer in enumerate(net.layers):
+            cur, phi, _ = _layer_batch(layer, cur)
+            yield li, phi
+
+
 def edge_scores(net: KanNetwork, dataset) -> EdgeScoreMatrix:
     """Std of each edge output over the dataset, in two chunked passes."""
     x = _features_of(dataset)
     n = x.shape[0]
-
     sums = [np.zeros((l.n_out, l.n_in)) for l in net.layers]
-    for lo in range(0, n, CHUNK):
-        cur = x[lo : lo + CHUNK]
-        for li, layer in enumerate(net.layers):
-            cur, phi, *_ = _layer_arrays(layer, cur)
-            sums[li] += phi.sum(axis=0)
+    for li, phi in _edge_outputs(net, x):
+        sums[li] += phi.sum(axis=0)
     means = [s / n for s in sums]
-
     sq = [np.zeros((l.n_out, l.n_in)) for l in net.layers]
-    for lo in range(0, n, CHUNK):
-        cur = x[lo : lo + CHUNK]
-        for li, layer in enumerate(net.layers):
-            cur, phi, *_ = _layer_arrays(layer, cur)
-            sq[li] += ((phi - means[li][None, :, :]) ** 2).sum(axis=0)
+    for li, phi in _edge_outputs(net, x):
+        sq[li] += ((phi - means[li][None, :, :]) ** 2).sum(axis=0)
     return EdgeScoreMatrix(per_layer=[np.sqrt(s / n) for s in sq])
 
 
@@ -240,7 +241,6 @@ def sample_activation_curves(net: KanNetwork, points_per_edge: int) -> list:
         xs = np.linspace(kv.range_min, kv.range_max, points_per_edge)
         for q in range(layer.n_out):
             for p in range(layer.n_in):
-                edge = layer.edge(q, p)
-                for x in xs:
-                    rows.append((li, q, p, float(x), edge_forward(edge, kv, float(x))))
+                phi = edge_forward(layer.edge(q, p), kv, xs)
+                rows.extend((li, q, p, x, v) for x, v in zip(xs.tolist(), phi.tolist()))
     return rows

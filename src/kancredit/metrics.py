@@ -91,18 +91,22 @@ def precision_recall_f1(c: ConfusionCounts):
     return precision, recall, f1
 
 
+def _tie_blocks(sorted_vals: np.ndarray):
+    """(starts, ends) of the runs of equal values in a sorted array, ends exclusive.
+
+    Neighbours are compared with ``!=`` rather than differenced, so equal
+    infinities stay one block.
+    """
+    change = np.flatnonzero(sorted_vals[1:] != sorted_vals[:-1]) + 1
+    return np.concatenate(([0], change)), np.concatenate((change, [sorted_vals.size]))
+
+
 def _midranks(values: np.ndarray) -> np.ndarray:
     """1-based ranks with ties sharing the mean rank of their block."""
     order = np.argsort(values, kind="stable")
+    starts, ends = _tie_blocks(values[order])
     ranks = np.empty(values.size, dtype=np.float64)
-    sorted_vals = values[order]
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    ranks[order] = np.repeat(0.5 * (starts + ends - 1) + 1.0, ends - starts)
     return ranks
 
 
@@ -127,19 +131,14 @@ def roc_curve(scores, labels) -> list:
         raise ValueError("single-class-input: ROC needs both classes")
     order = np.argsort(-s, kind="stable")
     s_sorted = s[order]
-    y_sorted = y[order]
+    starts, ends = _tie_blocks(s_sorted)
+    tp = np.cumsum(y[order])[ends - 1]
+    fp = ends - tp
     points = [RocPoint(0.0, 0.0, float("inf"))]
-    tp = fp = 0
-    i = 0
-    while i < s.size:
-        j = i
-        while j + 1 < s.size and s_sorted[j + 1] == s_sorted[i]:
-            j += 1
-        block = y_sorted[i : j + 1]
-        tp += int(np.sum(block == 1))
-        fp += block.size - int(np.sum(block == 1))
-        points.append(RocPoint(fp / n_neg, tp / n_pos, float(s_sorted[i])))
-        i = j + 1
+    points += [
+        RocPoint(f / n_neg, t / n_pos, v)
+        for f, t, v in zip(fp.tolist(), tp.tolist(), s_sorted[starts].tolist())
+    ]
     return points
 
 

@@ -6,9 +6,16 @@ nonlinearities.  A network is a chain of such layers ending in a single
 logit node.  The spline branch sees inputs clamped to the grid range, the
 silu branch sees the raw input.
 
-Layers store parameters as dense arrays (output-major), which keeps the
-batched forward pass to a handful of einsums.  ``ActivationEdge`` is a
-per-edge view used for inspection, not for the hot path.
+All parameters live in one flat float64 buffer, ``KanNetwork.params``, in
+the checkpoint's order: layers first to last, edges (q, p) row-major, and
+per edge [w_b, w_s, c_0 ... c_{M-1}].  Each layer's ``w_b``, ``w_s`` (shape
+(n_out, n_in)) and ``coef`` (shape (n_out, n_in, M)) are views into that
+buffer, so writing the buffer updates every layer, and editing a layer's
+arrays in place edits the buffer.
+
+``_layer_batch`` is the one place phi is computed.  Batched inference,
+training and attribution call it directly; the single-sample functions pass
+it a batch of one, and ``edge_forward`` a one-edge layer.
 """
 
 from __future__ import annotations
@@ -84,7 +91,7 @@ class KanLayer:
     """Dense layer of n_out * n_in activation edges sharing one knot vector.
 
     ``w_b`` and ``w_s`` have shape (n_out, n_in); ``coef`` has shape
-    (n_out, n_in, n_basis).
+    (n_out, n_in, n_basis).  In a network they are views into its buffer.
     """
 
     n_in: int
@@ -110,6 +117,7 @@ class KanNetwork:
     grid_count: int
     degree: int
     seed: int
+    params: np.ndarray  # every parameter, in checkpoint order; layers hold views
 
 
 @dataclass
@@ -127,53 +135,56 @@ class ForwardTrace:
     logit: float
 
 
+def _param_views(buffer: np.ndarray, widths, n_basis: int) -> list:
+    """Per-layer (w_b, w_s, coef) views into a flat buffer in checkpoint order."""
+    views, pos = [], 0
+    for n_in, n_out in zip(widths[:-1], widths[1:]):
+        size = n_out * n_in * (2 + n_basis)
+        per_edge = buffer[pos : pos + size].reshape(n_out, n_in, 2 + n_basis)
+        views.append((per_edge[:, :, 0], per_edge[:, :, 1], per_edge[:, :, 2:]))
+        pos += size
+    return views
+
+
+def _zero_network(widths, grid_count, degree, seed, range_min, range_max) -> KanNetwork:
+    """A network over a zeroed parameter buffer, its layers viewing into it."""
+    if len(widths) < 2 or any(w < 1 for w in widths):
+        raise ValueError(f"invalid-widths: need >= 2 positive layer widths, got {widths}")
+    if widths[-1] != 1:
+        raise ValueError(f"invalid-widths: output width must be 1, got {widths[-1]}")
+    kv = make_knot_vector(range_min, range_max, grid_count, degree)
+    edges = sum(n_in * n_out for n_in, n_out in zip(widths[:-1], widths[1:]))
+    params = np.zeros(edges * (2 + kv.n_basis))
+    layers = [
+        KanLayer(n_in=n_in, n_out=n_out, knots=kv, w_b=w_b, w_s=w_s, coef=coef)
+        for n_in, n_out, (w_b, w_s, coef) in zip(
+            widths[:-1], widths[1:], _param_views(params, widths, kv.n_basis)
+        )
+    ]
+    return KanNetwork(layers, widths, int(grid_count), int(degree), int(seed), params)
+
+
 def init_network(widths, grid_count: int, degree: int, seed: int) -> KanNetwork:
     """Fresh network: w_b = w_s = 1, spline coefficients uniform in +-0.1.
 
     ``widths`` lists node counts per layer, input first; the output layer
     must have exactly one node (the logit).
     """
-    widths = [int(w) for w in widths]
-    if len(widths) < 2 or any(w < 1 for w in widths):
-        raise ValueError(f"invalid-widths: need >= 2 positive layer widths, got {widths}")
-    if widths[-1] != 1:
-        raise ValueError(f"invalid-widths: output width must be 1, got {widths[-1]}")
+    net = _zero_network([int(w) for w in widths], grid_count, degree, seed, -1.0, 1.0)
     rng = np.random.default_rng(seed)
-    layers = []
-    for n_in, n_out in zip(widths[:-1], widths[1:]):
-        kv = make_knot_vector(-1.0, 1.0, grid_count, degree)
-        layers.append(
-            KanLayer(
-                n_in=n_in,
-                n_out=n_out,
-                knots=kv,
-                w_b=np.ones((n_out, n_in)),
-                w_s=np.ones((n_out, n_in)),
-                coef=rng.uniform(
-                    -COEF_INIT_SCALE, COEF_INIT_SCALE, size=(n_out, n_in, kv.n_basis)
-                ),
-            )
-        )
-    return KanNetwork(
-        layers=layers,
-        widths=widths,
-        grid_count=int(grid_count),
-        degree=int(degree),
-        seed=int(seed),
-    )
+    for layer in net.layers:
+        layer.w_b[...] = 1.0
+        layer.w_s[...] = 1.0
+        layer.coef[...] = rng.uniform(-COEF_INIT_SCALE, COEF_INIT_SCALE, size=layer.coef.shape)
+    return net
 
 
-def edge_forward(edge: ActivationEdge, knots: KnotVector, x: float) -> float:
-    """phi(x) for a single edge; the spline branch clamps, silu does not."""
-    spline_val = float(basis_values(knots, x) @ edge.spline.coefficients)
-    return edge.w_b * silu(float(x)) + edge.w_s * spline_val
+def _layer_batch(layer: KanLayer, X: np.ndarray):
+    """The layer on a batch X of shape (n, n_in): the one place phi is computed.
 
-
-def _layer_arrays(layer: KanLayer, X: np.ndarray):
-    """Batched layer pass returning intermediates needed for gradients.
-
-    X has shape (n, n_in).  Returns (Y, phi, sil, sig, basis, clamped) where
-    Y is (n, n_out), phi is (n, n_out, n_in), basis is (n, n_in, n_basis).
+    Returns (Y, phi, cache): node sums Y (n, n_out), edge outputs phi
+    (n, n_out, n_in), and the intermediates (X, basis, spline_out, silu,
+    sigmoid) that the backward pass needs.
     """
     n = X.shape[0]
     basis = basis_values(layer.knots, X.ravel()).reshape(n, layer.n_in, -1)
@@ -181,7 +192,19 @@ def _layer_arrays(layer: KanLayer, X: np.ndarray):
     sig = sigmoid(X)
     sil = X * sig
     phi = layer.w_b[None, :, :] * sil[:, None, :] + layer.w_s[None, :, :] * spline_out
-    return phi.sum(axis=2), phi, sil, sig, basis
+    return phi.sum(axis=2), phi, (X, basis, spline_out, sil, sig)
+
+
+def edge_forward(edge: ActivationEdge, knots: KnotVector, x):
+    """phi(x) for a single edge at a scalar (float out) or 1-D array of points.
+
+    The spline branch clamps, silu does not.
+    """
+    arr = np.asarray(x, dtype=np.float64)
+    coef = np.asarray(edge.spline.coefficients, dtype=np.float64).reshape(1, 1, -1)
+    layer = KanLayer(1, 1, knots, np.full((1, 1), edge.w_b), np.full((1, 1), edge.w_s), coef)
+    phi = _layer_batch(layer, arr.reshape(-1, 1))[1][:, 0, 0]
+    return float(phi[0]) if arr.ndim == 0 else phi
 
 
 def layer_forward(layer: KanLayer, x):
@@ -191,7 +214,7 @@ def layer_forward(layer: KanLayer, x):
         raise ValueError(
             f"dimension-mismatch: layer expects {layer.n_in} inputs, got {x.shape}"
         )
-    y, phi, *_ = _layer_arrays(layer, x[None, :])
+    y, phi, _ = _layer_batch(layer, x[None, :])
     return y[0], phi[0]
 
 
@@ -229,7 +252,7 @@ def network_logits(net: KanNetwork, X: np.ndarray) -> np.ndarray:
     for lo in range(0, X.shape[0], CHUNK):
         cur = X[lo : lo + CHUNK]
         for layer in net.layers:
-            cur = _layer_arrays(layer, cur)[0]
+            cur = _layer_batch(layer, cur)[0]
         out[lo : lo + CHUNK] = cur[:, 0]
     return out
 
@@ -245,40 +268,26 @@ def predict_proba(net: KanNetwork, x) -> float:
 
 
 def parameter_count(net: KanNetwork) -> int:
-    return sum(layer.n_out * layer.n_in * (2 + layer.knots.n_basis) for layer in net.layers)
+    return int(net.params.size)
 
 
 def flatten_params(net: KanNetwork) -> np.ndarray:
-    """All parameters as one vector.
+    """A copy of all parameters as one vector.
 
     Order: layers first-to-last; within a layer, edges in (q, p) row-major
     order; per edge [w_b, w_s, c_0 ... c_{M-1}].
     """
-    blocks = []
-    for layer in net.layers:
-        per_edge = np.concatenate(
-            [layer.w_b[:, :, None], layer.w_s[:, :, None], layer.coef], axis=2
-        )
-        blocks.append(per_edge.ravel())
-    return np.concatenate(blocks)
+    return net.params.copy()
 
 
 def set_params(net: KanNetwork, flat: np.ndarray) -> None:
-    """Write a flat vector (same order as flatten_params) back into the net."""
+    """Write a flat vector (same order as flatten_params) into the net's buffer."""
     flat = np.asarray(flat, dtype=np.float64)
-    if flat.shape != (parameter_count(net),):
+    if flat.shape != net.params.shape:
         raise ValueError(
-            f"length-mismatch: expected {parameter_count(net)} parameters, got {flat.shape}"
+            f"length-mismatch: expected {net.params.size} parameters, got {flat.shape}"
         )
-    pos = 0
-    for layer in net.layers:
-        m = layer.knots.n_basis
-        size = layer.n_out * layer.n_in * (2 + m)
-        per_edge = flat[pos : pos + size].reshape(layer.n_out, layer.n_in, 2 + m)
-        layer.w_b = per_edge[:, :, 0].copy()
-        layer.w_s = per_edge[:, :, 1].copy()
-        layer.coef = per_edge[:, :, 2:].copy()
-        pos += size
+    net.params[...] = flat
 
 
 def save_network(net: KanNetwork, path) -> None:
@@ -300,33 +309,20 @@ def save_network(net: KanNetwork, path) -> None:
 
 
 def load_network(path) -> KanNetwork:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if payload.get("kind") != "kan-network":
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            payload = json.load(fh)
+    except ValueError as exc:  # not JSON, or not text
+        raise ValueError(f"checkpoint-mismatch: {path} is not JSON: {exc}") from None
+    if not isinstance(payload, dict) or payload.get("kind") != "kan-network":
         raise ValueError(f"checkpoint-mismatch: not a network checkpoint: {path}")
-    widths = [int(w) for w in payload["widths"]]
-    layers = []
-    for n_in, n_out in zip(widths[:-1], widths[1:]):
-        kv = make_knot_vector(
-            payload["range_min"], payload["range_max"], payload["grid_count"], payload["degree"]
-        )
-        layers.append(
-            KanLayer(
-                n_in=n_in,
-                n_out=n_out,
-                knots=kv,
-                w_b=np.zeros((n_out, n_in)),
-                w_s=np.zeros((n_out, n_in)),
-                coef=np.zeros((n_out, n_in, kv.n_basis)),
-            )
-        )
-    net = KanNetwork(
-        layers=layers,
-        widths=widths,
-        grid_count=int(payload["grid_count"]),
-        degree=int(payload["degree"]),
-        seed=int(payload["seed"]),
-    )
-    params = np.array(payload["params"], dtype=np.float64)
+    try:
+        widths = [int(w) for w in payload["widths"]]
+        grid_count, degree, seed = (int(payload[k]) for k in ("grid_count", "degree", "seed"))
+        range_min, range_max = float(payload["range_min"]), float(payload["range_max"])
+        params = np.array(payload["params"], dtype=np.float64)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"checkpoint-mismatch: {path}: missing or malformed entry {exc}") from None
+    net = _zero_network(widths, grid_count, degree, seed, range_min, range_max)
     set_params(net, params)
     return net

@@ -29,14 +29,17 @@ import numpy as np
 
 from kancredit.network import (
     CHUNK,
+    KanLayer,
     KanNetwork,
+    _layer_batch,
+    _param_views,
     flatten_params,
     init_network,
     network_logits,
     set_params,
     sigmoid,
 )
-from kancredit.splines import basis_derivatives, basis_values
+from kancredit.splines import basis_derivatives
 
 __all__ = [
     "TrainConfig",
@@ -108,11 +111,6 @@ def _bce_mean(z: np.ndarray, y: np.ndarray) -> float:
     return float(np.mean(np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))))
 
 
-def _silu_parts(x: np.ndarray):
-    sig = sigmoid(x)
-    return x * sig, sig * (1.0 + x * (1.0 - sig))
-
-
 def _check_batch(net: KanNetwork, batch_x: np.ndarray, batch_y: np.ndarray):
     x = np.asarray(batch_x, dtype=np.float64)
     y = np.asarray(batch_y, dtype=np.float64)
@@ -129,61 +127,53 @@ def _check_batch(net: KanNetwork, batch_x: np.ndarray, batch_y: np.ndarray):
     return x, y
 
 
+def _layer_backward(layer: KanLayer, cache, grad, grad_views, need_input: bool):
+    """Add one layer's parameter gradients into ``grad_views`` (d_wb, d_ws, d_coef).
+
+    ``cache`` comes from ``_layer_batch`` and ``grad`` (n, n_out) is the
+    upstream gradient on the node sums.  Returns the gradient on the layer's
+    input when ``need_input``, else None.
+    """
+    x, basis, spline_out, sil, sig = cache
+    d_wb, d_ws, d_coef = grad_views
+    d_wb += np.einsum("nq,np->qp", grad, sil)
+    d_ws += np.einsum("nq,nqp->qp", grad, spline_out)
+    d_coef += layer.w_s[:, :, None] * np.einsum("nq,npi->qpi", grad, basis)
+    if not need_input:
+        return None
+    kv = layer.knots
+    in_range = (x > kv.range_min) & (x < kv.range_max)
+    dbasis = basis_derivatives(kv, x.ravel()).reshape(x.shape[0], layer.n_in, -1)
+    dbasis *= in_range[:, :, None]
+    dspline = np.einsum("qpi,npi->nqp", layer.coef, dbasis)
+    dsil = sig * (1.0 + x * (1.0 - sig))
+    return np.einsum("nq,qp->np", grad, layer.w_b) * dsil + np.einsum(
+        "nq,nqp->np", grad, layer.w_s[None, :, :] * dspline
+    )
+
+
 def backward(net: KanNetwork, batch_x, batch_y):
     """Mean BCE loss and its gradient in canonical parameter order."""
     x, y = _check_batch(net, batch_x, batch_y)
     n_total = x.shape[0]
-    acc = [
-        (np.zeros_like(l.w_b), np.zeros_like(l.w_s), np.zeros_like(l.coef))
-        for l in net.layers
-    ]
+    flat = np.zeros_like(net.params)
+    grad_views = _param_views(flat, net.widths, net.layers[0].knots.n_basis)
     loss_sum = 0.0
 
     for lo in range(0, n_total, CHUNK):
-        xc = x[lo : lo + CHUNK]
         yc = y[lo : lo + CHUNK]
-        n = xc.shape[0]
-
-        # forward, keeping what backward needs
-        cache = []
-        cur = xc
+        cur = x[lo : lo + CHUNK]
+        caches = []
         for layer in net.layers:
-            basis = basis_values(layer.knots, cur.ravel()).reshape(n, layer.n_in, -1)
-            spline_out = np.einsum("qpi,npi->nqp", layer.coef, basis)
-            sil, dsil = _silu_parts(cur)
-            cache.append((cur, basis, spline_out, sil, dsil))
-            cur = (
-                layer.w_b[None, :, :] * sil[:, None, :]
-                + layer.w_s[None, :, :] * spline_out
-            ).sum(axis=2)
+            cur, _, cache = _layer_batch(layer, cur)
+            caches.append(cache)
 
         z = cur[:, 0]
         loss_sum += np.sum(np.maximum(z, 0.0) - z * yc + np.log1p(np.exp(-np.abs(z))))
         grad = ((sigmoid(z) - yc) / n_total)[:, None]
-
         for li in range(len(net.layers) - 1, -1, -1):
-            layer = net.layers[li]
-            xin, basis, spline_out, sil, dsil = cache[li]
-            d_wb, d_ws, d_coef = acc[li]
-            d_wb += np.einsum("nq,np->qp", grad, sil)
-            d_ws += np.einsum("nq,nqp->qp", grad, spline_out)
-            d_coef += layer.w_s[:, :, None] * np.einsum("nq,npi->qpi", grad, basis)
-            if li > 0:
-                kv = layer.knots
-                in_range = (xin > kv.range_min) & (xin < kv.range_max)
-                dbasis = basis_derivatives(kv, xin.ravel()).reshape(n, layer.n_in, -1)
-                dbasis *= in_range[:, :, None]
-                dspline = np.einsum("qpi,npi->nqp", layer.coef, dbasis)
-                grad = np.einsum("nq,qp->np", grad, layer.w_b) * dsil + np.einsum(
-                    "nq,nqp->np", grad, layer.w_s[None, :, :] * dspline
-                )
+            grad = _layer_backward(net.layers[li], caches[li], grad, grad_views[li], li > 0)
 
-    flat = np.concatenate(
-        [
-            np.concatenate([g_wb[:, :, None], g_ws[:, :, None], g_coef], axis=2).ravel()
-            for g_wb, g_ws, g_coef in acc
-        ]
-    )
     return loss_sum / n_total, flat
 
 

@@ -1,5 +1,7 @@
 """End-to-end CLI behaviour on synthetic data: exit codes, artifacts, reruns."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -177,6 +179,27 @@ class TestEval:
         assert rc == 2
         assert "checkpoint-mismatch" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("broken", ["missing-params", "null-grid", "text-param", "not-json"])
+    def test_broken_checkpoint_is_coded(self, broken, trained_run, data_csv, tmp_path, capsys):
+        text = (trained_run / "model.json").read_text()
+        if broken == "not-json":
+            text = text[: len(text) // 2]
+        else:
+            payload = json.loads(text)
+            if broken == "missing-params":
+                del payload["params"]
+            elif broken == "null-grid":
+                payload["grid_count"] = None
+            else:
+                payload["params"][3] = "a"
+            text = json.dumps(payload)
+        model = tmp_path / "model.json"
+        model.write_text(text)
+        rc = main(["eval", "--model", str(model), "--data", str(data_csv),
+                   "--out", str(tmp_path / "e")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: checkpoint-mismatch: ")
+
     def test_matching_flags_accepted(self, trained_run, data_csv, tmp_path):
         rc = main(
             ["eval", "--model", str(trained_run / "model.json"),
@@ -240,6 +263,16 @@ class TestExplain:
         )
         assert rc == 2
         assert "index-out-of-range" in capsys.readouterr().err
+        assert not list((tmp_path / "exp").glob("*"))
+
+    def test_too_few_points_writes_nothing(self, trained_run, data_csv, tmp_path, capsys):
+        rc = main(
+            ["explain", "--model", str(trained_run / "model.json"),
+             "--data", str(data_csv), "--out", str(tmp_path / "exp"), "--points", "1"]
+        )
+        assert rc == 2
+        assert "invalid-point-count" in capsys.readouterr().err
+        assert not list((tmp_path / "exp").glob("*"))
 
     def test_dot_stable_across_runs(self, trained_run, data_csv, tmp_path):
         outs = [tmp_path / "a", tmp_path / "b"]

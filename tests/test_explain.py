@@ -20,6 +20,7 @@ from kancredit.explain import (
 from kancredit.network import (
     edge_forward,
     init_network,
+    layer_forward,
     network_forward,
     parameter_count,
     set_params,
@@ -261,6 +262,18 @@ class TestActivationCurves:
         for li, q, p, x, phi in rows[:40]:
             layer = net.layers[li]
             assert phi == edge_forward(layer.edge(q, p), layer.knots, x)
+
+    def test_rows_equal_layer_forward_bit_for_bit(self):
+        net = init_network([10, 4, 1], 30, 4, seed=38)
+        rng = np.random.default_rng(5)
+        set_params(net, rng.normal(scale=0.5, size=parameter_count(net)))
+        rows = sample_activation_curves(net, 50)
+        phis = {}
+        for li, q, p, x, phi in rows:
+            layer = net.layers[li]
+            if (li, x) not in phis:
+                phis[li, x] = layer_forward(layer, np.full(layer.n_in, x))[1]
+            assert phi == phis[li, x][q, p], (li, q, p, x)
 
     def test_invalid_point_count(self):
         net = init_network([2, 1], 5, 3, seed=37)

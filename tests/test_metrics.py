@@ -5,6 +5,7 @@ import pytest
 
 from kancredit.metrics import (
     ConfusionCounts,
+    RocPoint,
     confusion_at_threshold,
     precision_recall_f1,
     roc_auc,
@@ -182,6 +183,25 @@ class TestRocCurve:
                 labels[0] = 1 - labels[0]
             pts = roc_curve(scores, labels)
             assert trapezoid(pts) == pytest.approx(roc_auc(scores, labels), abs=1e-12)
+
+    def test_heavy_ties_match_recount_exactly(self):
+        rng = np.random.default_rng(9)
+        values = np.array([0.0, 1.0, np.inf, -np.inf, 0.25, 0.75, -0.0])
+        cases = [(np.array([np.inf, np.inf]), np.array([1, 0]))]
+        for n in (2, 7, 40, 301):
+            labels = rng.integers(0, 2, n)
+            labels[:2] = [1, 0]
+            cases.append((rng.choice(values, size=n), labels))
+        for scores, labels in cases:
+            n_pos = int(labels.sum())
+            n_neg = labels.size - n_pos
+            pts = roc_curve(scores, labels)
+            assert pts[0] == RocPoint(0.0, 0.0, float("inf"))
+            assert [p.threshold for p in pts[1:]] == sorted(set(scores.tolist()), reverse=True)
+            for p in pts[1:]:
+                c = confusion_at_threshold(scores, labels, p.threshold)
+                assert (p.fpr, p.tpr) == (c.fp / n_neg, c.tp / n_pos)
+            assert roc_auc(scores, labels) == pytest.approx(pairwise_auc(scores, labels), abs=1e-12)
 
 
 class TestClassificationReport:

@@ -1,5 +1,7 @@
 """Forward-pass semantics: edges, layers, composition, checkpoints."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,15 @@ class TestEdgeForward:
         edge = ActivationEdge(1.0, 2.0, SplineParams(np.ones(self.kv.n_basis)))
         for x in (-0.9, -0.1, 0.55):
             assert edge_forward(edge, self.kv, x) == pytest.approx(silu(x) + 2.0, abs=1e-12)
+
+    def test_array_equals_scalar_calls(self):
+        rng = np.random.default_rng(4)
+        edge = ActivationEdge(0.7, -1.3, SplineParams(rng.normal(size=self.kv.n_basis)))
+        xs = np.concatenate([np.linspace(-1.5, 1.5, 31), [-1.0, 1.0, 0.0]])
+        phi = edge_forward(edge, self.kv, xs)
+        assert phi.shape == xs.shape
+        assert phi.tolist() == [edge_forward(edge, self.kv, float(x)) for x in xs]
+        assert isinstance(edge_forward(edge, self.kv, 0.2), float)
 
 
 class TestLayerForward:
@@ -228,6 +239,36 @@ class TestParameterVector:
             set_params(net, np.zeros(3))
 
 
+class TestParameterBuffer:
+    def test_layer_arrays_are_views_of_the_buffer(self):
+        net = init_network([4, 3, 1], 6, 3, seed=8)
+        for layer in net.layers:
+            for arr in (layer.w_b, layer.w_s, layer.coef):
+                assert arr.base is not None and np.shares_memory(arr, net.params)
+        net.layers[1].coef[0, 2, 1] = 5.5
+        assert 5.5 in flatten_params(net)
+
+    def test_set_params_writes_layers_in_place(self):
+        net = init_network([4, 3, 1], 6, 3, seed=9)
+        coef = net.layers[0].coef
+        vec = np.random.default_rng(2).normal(size=parameter_count(net))
+        set_params(net, vec)
+        assert net.layers[0].coef is coef
+        m = coef.shape[2]
+        np.testing.assert_array_equal(coef[0, 0], vec[2 : 2 + m])
+        np.testing.assert_array_equal(net.params, vec)
+
+    def test_flatten_params_is_a_copy(self):
+        net = init_network([4, 3, 1], 6, 3, seed=10)
+        before = flatten_params(net)
+        x = np.random.default_rng(3).uniform(-1, 1, (5, 4))
+        logits = network_logits(net, x)
+        flat = flatten_params(net)
+        flat[:] = 7.0
+        np.testing.assert_array_equal(flatten_params(net), before)
+        np.testing.assert_array_equal(network_logits(net, x), logits)
+
+
 class TestCheckpoint:
     def test_exact_round_trip(self, tmp_path):
         net = init_network([10, 4, 1], 12, 4, seed=99)
@@ -246,6 +287,17 @@ class TestCheckpoint:
         path.write_text('{"kind": "something-else"}')
         with pytest.raises(ValueError, match="checkpoint-mismatch"):
             load_network(path)
+
+    def test_widths_checked_as_at_init(self, tmp_path):
+        net = init_network([3, 1], 5, 3, seed=0)
+        path = tmp_path / "model.json"
+        save_network(net, path)
+        payload = json.loads(path.read_text())
+        for widths in ([3], [3, 2]):
+            payload["widths"] = widths
+            path.write_text(json.dumps(payload))
+            with pytest.raises(ValueError, match="invalid-widths"):
+                load_network(path)
 
 
 class TestBatchEvaluation:
