@@ -11,6 +11,7 @@ from kancredit.splines import (
     KnotVector,
     SplineParams,
     make_knot_vector,
+    knot_span,
     basis_values,
     basis_derivatives,
     eval_spline,

@@ -15,7 +15,10 @@ arrays in place edits the buffer.
 
 ``_layer_batch`` is the one place phi is computed.  Batched inference,
 training and attribution call it directly; the single-sample functions pass
-it a batch of one, and ``edge_forward`` a one-edge layer.
+it a batch of one, and ``edge_forward`` a one-edge layer.  Its spline branch
+works on the banded basis: for each input it gathers the ``degree + 1``
+coefficients from ``knot_span`` on and weights them by ``basis_values``,
+summing in a fixed order, so an edge's value is the same in any batch.
 """
 
 from __future__ import annotations
@@ -28,7 +31,9 @@ import numpy as np
 from kancredit.splines import (
     KnotVector,
     SplineParams,
+    _band_dot,
     basis_values,
+    knot_span,
     make_knot_vector,
 )
 
@@ -53,7 +58,7 @@ __all__ = [
     "load_network",
 ]
 
-# samples per forward chunk; bounds the (chunk, n_in, n_basis) temporaries
+# samples per forward chunk; bounds the (chunk, n_out, n_in) temporaries
 CHUNK = 16384
 
 COEF_INIT_SCALE = 0.1
@@ -183,16 +188,23 @@ def _layer_batch(layer: KanLayer, X: np.ndarray):
     """The layer on a batch X of shape (n, n_in): the one place phi is computed.
 
     Returns (Y, phi, cache): node sums Y (n, n_out), edge outputs phi
-    (n, n_out, n_in), and the intermediates (X, basis, spline_out, silu,
-    sigmoid) that the backward pass needs.
+    (n, n_out, n_in), and the intermediates (X, first, band, spline_out,
+    silu, sigmoid) that the backward pass needs.  ``first`` (n, n_in) is the
+    flat index of the first nonzero basis's coefficient in ``coef[q]``
+    raveled, ``span + p * n_basis``, and ``band`` (degree + 1, n, n_in)
+    the values of the bases from there on.
     """
     n = X.shape[0]
-    basis = basis_values(layer.knots, X.ravel()).reshape(n, layer.n_in, -1)
-    spline_out = np.einsum("qpi,npi->nqp", layer.coef, basis)
+    kv = layer.knots
+    first = knot_span(kv, X.ravel()).reshape(n, layer.n_in)
+    first += np.arange(layer.n_in) * kv.n_basis
+    band = basis_values(kv, X.ravel()).T.reshape(-1, n, layer.n_in)
+    coef = layer.coef.reshape(layer.n_out, -1)
+    spline_out = _band_dot(coef, first, band).transpose(1, 0, 2)
     sig = sigmoid(X)
     sil = X * sig
     phi = layer.w_b[None, :, :] * sil[:, None, :] + layer.w_s[None, :, :] * spline_out
-    return phi.sum(axis=2), phi, (X, basis, spline_out, sil, sig)
+    return phi.sum(axis=2), phi, (X, first, band, spline_out, sil, sig)
 
 
 def edge_forward(edge: ActivationEdge, knots: KnotVector, x):
@@ -316,6 +328,9 @@ def load_network(path) -> KanNetwork:
         raise ValueError(f"checkpoint-mismatch: {path} is not JSON: {exc}") from None
     if not isinstance(payload, dict) or payload.get("kind") != "kan-network":
         raise ValueError(f"checkpoint-mismatch: not a network checkpoint: {path}")
+    version = payload.get("version")
+    if type(version) is not int or version != 1:
+        raise ValueError(f"checkpoint-mismatch: {path}: version {version!r}, expected 1")
     try:
         widths = [int(w) for w in payload["widths"]]
         grid_count, degree, seed = (int(payload[k]) for k in ("grid_count", "degree", "seed"))

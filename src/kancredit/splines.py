@@ -8,9 +8,15 @@ the nominal range.  Inputs outside the range are clamped to the nearest
 endpoint before evaluation, which makes evaluation total: out-of-range
 inputs just saturate at the boundary value of the spline.
 
-Basis values are computed with the triangular recurrence (the standard
-knot-span algorithm), vectorised over sample arrays.  Derivatives use the
-uniform-knot identity  B'_i,k(x) = (B_i,k-1(x) - B_i+1,k-1(x)) / h.
+At any input only ``degree + 1`` consecutive bases are nonzero, so the
+basis is kept banded: ``knot_span`` gives the index of the first of them and
+``basis_values``/``basis_derivatives`` their values and derivatives, one row
+of ``degree + 1`` per sample.  A spline is evaluated by gathering the
+coefficients at ``span + j``.  Values come from the triangular recurrence
+(de Boor's local algorithm) written in the offset u = (x - t_span) / h, where
+on the uniform grid every denominator is a small integer and no knot is
+looked up.  Derivatives use the uniform-knot identity
+B'_i,k(x) = (B_i,k-1(x) - B_i+1,k-1(x)) / h.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ __all__ = [
     "KnotVector",
     "SplineParams",
     "make_knot_vector",
+    "knot_span",
     "basis_values",
     "basis_derivatives",
     "eval_spline",
@@ -84,72 +91,107 @@ def make_knot_vector(
     )
 
 
-def _dense_basis(kv: KnotVector, x: np.ndarray, degree: int) -> np.ndarray:
-    """Degree-``degree`` basis values over ``kv.knots`` for clamped 1-D ``x``.
+def _span_offset(kv: KnotVector, x) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Grid interval ``span`` of each clamped sample and its offset ``u`` in it.
 
-    Returns shape ``(len(x), len(kv.knots) - degree - 1)``.  ``degree`` may be
-    lower than ``kv.degree`` (used for the derivative identity); the knot span
-    containing each sample is the same either way.
+    ``span`` is the ``i`` with t_i <= x < t_i+1 among the grid knots
+    t_i = range_min + i * h (the values ``make_knot_vector`` stores), and
+    the right end of the range belongs to the last interval.  It is also
+    the index of the first nonzero basis.  ``u = (x - t_span) / h`` lies in
+    [0, 1].
     """
-    t = kv.knots
-    h = kv.spacing
-    n = x.shape[0]
-    # span s satisfies t[s] <= x < t[s+1]; uniform spacing gives it in O(1)
-    span = np.floor((x - kv.range_min) / h).astype(np.int64) + kv.degree
-    np.clip(span, kv.degree, kv.degree + kv.interior_count - 1, out=span)
-
-    vals = np.zeros((n, degree + 1))
-    vals[:, 0] = 1.0
-    left = np.empty((n, degree + 1))
-    right = np.empty((n, degree + 1))
-    for j in range(1, degree + 1):
-        left[:, j] = x - t[span + 1 - j]
-        right[:, j] = t[span + j] - x
-        saved = np.zeros(n)
-        for r in range(j):
-            temp = vals[:, r] / (right[:, r + 1] + left[:, j - r])
-            vals[:, r] = saved + right[:, r + 1] * temp
-            saved = left[:, j - r] * temp
-        vals[:, j] = saved
-
-    dense = np.zeros((n, len(t) - degree - 1))
-    cols = (span - degree)[:, None] + np.arange(degree + 1)[None, :]
-    np.put_along_axis(dense, cols, vals, axis=1)
-    return dense
-
-
-def _clamped(kv: KnotVector, x) -> tuple[np.ndarray, bool]:
     arr = np.asarray(x, dtype=np.float64)
     scalar = arr.ndim == 0
     arr = np.clip(np.atleast_1d(arr), kv.range_min, kv.range_max)
-    return arr, scalar
+    h = kv.spacing
+    span = np.floor((arr - kv.range_min) / h).astype(np.int64)
+    # the quotient can round across a knot; settle the side on the knot itself
+    span -= arr < kv.range_min + h * span
+    span += arr >= kv.range_min + h * (span + 1)
+    np.clip(span, 0, kv.interior_count - 1, out=span)
+    u = (arr - (kv.range_min + h * span)) / h
+    # only range_max itself can land past the last knot, by rounding
+    return span, np.minimum(u, 1.0, out=u), scalar
+
+
+def _band(u: np.ndarray, degree: int) -> np.ndarray:
+    """Degree-``degree`` values of the bases nonzero at offsets ``u``: (degree + 1, n).
+
+    The triangular recursion on a uniform grid, in units of the spacing:
+    every denominator is the step ``j`` and both factors are >= 0.
+    """
+    vals = np.empty((degree + 1, u.shape[0]))
+    vals[0] = 1.0
+    for j in range(1, degree + 1):
+        saved = 0.0
+        for r in range(j):
+            temp = vals[r] / j
+            vals[r] = saved + (r + 1 - u) * temp
+            saved = (u + (j - r - 1)) * temp
+        vals[j] = saved
+    return vals
+
+
+def knot_span(knots: KnotVector, x):
+    """Index of the first nonzero basis at the clamped ``x`` (int for a scalar).
+
+    Bases ``span ... span + degree`` are the ones ``basis_values`` returns.
+    """
+    span, _, scalar = _span_offset(knots, x)
+    return int(span[0]) if scalar else span
 
 
 def basis_values(knots: KnotVector, x) -> np.ndarray:
-    """Evaluate all basis functions at ``x`` (scalar or 1-D array).
+    """Values of the ``degree + 1`` bases that can be nonzero at ``x``.
 
-    Returns shape ``(n_basis,)`` for scalar input, ``(len(x), n_basis)`` for
-    array input.  Values are non-negative, at most ``degree + 1`` per sample
-    are nonzero, and each row sums to 1 on the nominal range.
+    Column ``j`` holds basis ``knot_span(knots, x) + j``; every other basis
+    is zero there.  Returns shape ``(degree + 1,)`` for scalar input and
+    ``(len(x), degree + 1)`` for array input, the latter as the transpose
+    of a contiguous ``(degree + 1, len(x))`` array, so ``.T`` gives the
+    band one basis per row without a copy.  Values are non-negative and
+    each row sums to 1 on the nominal range.
     """
-    arr, scalar = _clamped(knots, x)
-    dense = _dense_basis(knots, arr, knots.degree)
-    return dense[0] if scalar else dense
+    _, u, scalar = _span_offset(knots, x)
+    band = _band(u, knots.degree).T
+    return band[0] if scalar else band
 
 
 def basis_derivatives(knots: KnotVector, x) -> np.ndarray:
-    """First derivatives of all basis functions at ``x``, same shapes as values.
+    """First derivatives of the bases ``basis_values`` returns, same shapes and layout.
 
     Derivatives are taken with respect to the clamped input, so they describe
     the basis on the nominal range only.  Degree 0 bases are piecewise
-    constant and have no useful derivative here.
+    constant and have no useful derivative here.  On the uniform grid
+    B'_i,k = (B_i,k-1 - B_i+1,k-1) / h, and the degree k-1 bases nonzero on
+    the span are bases 1 ... k of the band.
     """
     if knots.degree < 1:
         raise ValueError("unsupported-degree: derivatives need degree >= 1")
-    arr, scalar = _clamped(knots, x)
-    lower = _dense_basis(knots, arr, knots.degree - 1)  # one extra column
-    dense = (lower[:, :-1] - lower[:, 1:]) / knots.spacing
-    return dense[0] if scalar else dense
+    _, u, scalar = _span_offset(knots, x)
+    lower = _band(u, knots.degree - 1)
+    band = np.empty((knots.degree + 1, u.shape[0]))
+    np.negative(lower[0], out=band[0])
+    np.subtract(lower[:-1], lower[1:], out=band[1:-1])
+    band[-1] = lower[-1]
+    band /= knots.spacing
+    band = band.T
+    return band[0] if scalar else band
+
+
+def _band_dot(coef: np.ndarray, first: np.ndarray, band: np.ndarray) -> np.ndarray:
+    """sum_j coef[..., first + j] * band[j], summed in a fixed j order.
+
+    ``first`` holds flat indices into the last axis of ``coef`` and ``band``
+    has one more leading axis than ``first`` (one basis per row, as
+    ``basis_values(...).T``); the result has shape
+    ``coef.shape[:-1] + first.shape``.  Each entry is the same sequence of
+    products and adds whatever the shapes, so a value does not depend on the
+    batch it is computed in.
+    """
+    out = coef[..., first] * band[0]
+    for j in range(1, band.shape[0]):
+        out += coef[..., first + j] * band[j]
+    return out
 
 
 def eval_spline(params: SplineParams, knots: KnotVector, x):
@@ -159,6 +201,5 @@ def eval_spline(params: SplineParams, knots: KnotVector, x):
         raise ValueError(
             f"length-mismatch: expected {knots.n_basis} coefficients, got {coef.shape}"
         )
-    b = basis_values(knots, x)
-    out = b @ coef
-    return float(out) if b.ndim == 1 else out
+    out = _band_dot(coef, knot_span(knots, x), basis_values(knots, x).T)
+    return float(out) if np.ndim(out) == 0 else out

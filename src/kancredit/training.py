@@ -13,7 +13,11 @@ gradient chained through both branches:
     d phi / d x = w_b * silu'(x) + w_s * sum_i c_i * B_i'(x)
 
 where the spline term is zero for samples clamped at the grid boundary.
-Everything is checked against central finite differences in the tests.
+Only the ``degree + 1`` bases from ``knot_span`` on are nonzero at a sample,
+so the coefficient sum is a scatter-add (``np.bincount``) of G * B over
+those bases, and the spline derivative a gather of the coefficients over
+the derivative band.  Everything is checked against central finite
+differences in the tests.
 
 Batches stream through in fixed-size chunks so full-batch training on
 hundreds of thousands of rows stays inside a small memory budget.
@@ -39,7 +43,7 @@ from kancredit.network import (
     set_params,
     sigmoid,
 )
-from kancredit.splines import basis_derivatives
+from kancredit.splines import _band_dot, basis_derivatives
 
 __all__ = [
     "TrainConfig",
@@ -134,18 +138,21 @@ def _layer_backward(layer: KanLayer, cache, grad, grad_views, need_input: bool):
     upstream gradient on the node sums.  Returns the gradient on the layer's
     input when ``need_input``, else None.
     """
-    x, basis, spline_out, sil, sig = cache
+    x, first, band, spline_out, sil, sig = cache
     d_wb, d_ws, d_coef = grad_views
     d_wb += np.einsum("nq,np->qp", grad, sil)
     d_ws += np.einsum("nq,nqp->qp", grad, spline_out)
-    d_coef += layer.w_s[:, :, None] * np.einsum("nq,npi->qpi", grad, basis)
+    index = (first + np.arange(band.shape[0])[:, None, None]).ravel()
+    for q in range(layer.n_out):
+        summed = np.bincount(index, (grad[:, q, None] * band).ravel(), d_coef[q].size)
+        d_coef[q] += layer.w_s[q, :, None] * summed.reshape(d_coef[q].shape)
     if not need_input:
         return None
     kv = layer.knots
     in_range = (x > kv.range_min) & (x < kv.range_max)
-    dbasis = basis_derivatives(kv, x.ravel()).reshape(x.shape[0], layer.n_in, -1)
-    dbasis *= in_range[:, :, None]
-    dspline = np.einsum("qpi,npi->nqp", layer.coef, dbasis)
+    dband = basis_derivatives(kv, x.ravel()).T.reshape(band.shape)
+    dband *= in_range
+    dspline = _band_dot(layer.coef.reshape(layer.n_out, -1), first, dband).transpose(1, 0, 2)
     dsil = sig * (1.0 + x * (1.0 - sig))
     return np.einsum("nq,qp->np", grad, layer.w_b) * dsil + np.einsum(
         "nq,nqp->np", grad, layer.w_s[None, :, :] * dspline

@@ -29,11 +29,12 @@ from kancredit.network import (
     save_network,
     set_params,
 )
-from kancredit.splines import basis_derivatives, basis_values, make_knot_vector
+from kancredit.splines import basis_derivatives, make_knot_vector
 from kancredit.training import TrainConfig, grad_check, train
 
 from conftest import find_real_gmsc, make_gmsc_rows, write_gmsc_csv
 from test_metrics import pairwise_auc, recount_confusion
+from test_splines import dense
 
 GMSC_PATH = find_real_gmsc()
 SKIP_REASON = (
@@ -106,6 +107,16 @@ def _boundary_clearance(net, batch_x):
     return dist
 
 
+# Central-difference step. The loss is about 0.7 and its float64 rounding
+# about 1e-16, so at step 1e-5 the difference quotient carries ~1e-11 of
+# rounding noise, which is a relative 1e-4 on the smallest checked gradients
+# (~1e-7): the check would then measure rounding, not the gradient. At 1e-4
+# the noise is ten times smaller and the O(step^2) truncation error stays far
+# below the bound; the clearance above keeps 5 steps between every hidden
+# input and the clamp kink.
+GRAD_CHECK_STEP = 1e-4
+
+
 def test_criterion_01_gradient_oracle():
     shapes = ([2, 1], [10, 1], [10, 4, 1])
     worst = 0.0
@@ -118,8 +129,8 @@ def test_criterion_01_gradient_oracle():
             set_params(net, params)
             batch_x = rng.uniform(-1.2, 1.2, (8, shape[0]))
             batch_y = rng.integers(0, 2, 8)
-            assert _boundary_clearance(net, batch_x) > 5e-5
-            worst = max(worst, grad_check(net, batch_x, batch_y))
+            assert _boundary_clearance(net, batch_x) > 5e-4
+            worst = max(worst, grad_check(net, batch_x, batch_y, eps=GRAD_CHECK_STEP))
     ok = worst < 1e-4
     verdict(1, ok, f"gradient check over 60 random nets, max relative error {worst:.3e} < 1e-4")
     assert ok
@@ -136,7 +147,7 @@ def test_criterion_02_spline_properties():
     for grid, degree in ((5, 3), (30, 4)):
         kv = make_knot_vector(-1.0, 1.0, grid, degree)
         x = rng.uniform(-1.0, 1.0, 1000)
-        basis = basis_values(kv, x)
+        basis = dense(kv, x)
 
         unity_err = float(np.abs(basis.sum(axis=1) - 1.0).max())
         checks.append(("partition of unity", unity_err, 1e-10))
@@ -145,8 +156,8 @@ def test_criterion_02_spline_properties():
         checks.append(("local support width", float(support), degree + 1 + 0.5))
 
         step = 1e-7
-        analytic = basis_derivatives(kv, x)
-        fd = (basis_values(kv, x + step) - basis_values(kv, x - step)) / (2 * step)
+        analytic = dense(kv, x, basis_derivatives)
+        fd = (dense(kv, x + step) - dense(kv, x - step)) / (2 * step)
         mask = np.abs(analytic) > 1e-8
         rel = np.abs(analytic - fd)[mask] / np.abs(analytic)[mask]
         checks.append(("derivative vs finite difference", float(rel.max()), 1e-5))

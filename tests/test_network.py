@@ -288,6 +288,25 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="checkpoint-mismatch"):
             load_network(path)
 
+    @pytest.mark.parametrize("version", [2, 0, "1", 1.5, True, None])
+    def test_other_version_rejected(self, tmp_path, version):
+        path = tmp_path / "model.json"
+        save_network(init_network([3, 1], 5, 3, seed=0), path)
+        payload = json.loads(path.read_text())
+        payload["version"] = version
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="checkpoint-mismatch.*version"):
+            load_network(path)
+
+    def test_missing_version_rejected(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_network(init_network([3, 1], 5, 3, seed=0), path)
+        payload = json.loads(path.read_text())
+        del payload["version"]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="checkpoint-mismatch.*version None"):
+            load_network(path)
+
     def test_widths_checked_as_at_init(self, tmp_path):
         net = init_network([3, 1], 5, 3, seed=0)
         path = tmp_path / "model.json"

@@ -7,6 +7,7 @@ from kancredit.splines import (
     KnotVector,
     SplineParams,
     make_knot_vector,
+    knot_span,
     basis_values,
     basis_derivatives,
     eval_spline,
@@ -31,6 +32,15 @@ def naive_row(kv, x):
     return np.array(
         [naive_basis(kv.knots, i, kv.degree, x) for i in range(kv.n_basis)]
     )
+
+
+def dense(kv, x, band_of=basis_values):
+    """The band of ``band_of`` scattered at ``knot_span`` into full (.., n_basis) rows."""
+    band = np.atleast_2d(band_of(kv, x))
+    cols = np.atleast_1d(knot_span(kv, x))[:, None] + np.arange(kv.degree + 1)
+    rows = np.zeros((band.shape[0], kv.n_basis))
+    np.put_along_axis(rows, cols, band, axis=1)
+    return rows[0] if np.ndim(x) == 0 else rows
 
 
 class TestMakeKnotVector:
@@ -68,12 +78,12 @@ class TestMakeKnotVector:
 class TestBasisValues:
     def test_degree0_indicator(self):
         kv = make_knot_vector(-1.0, 1.0, 2, 0)
-        np.testing.assert_allclose(basis_values(kv, -0.5), [1.0, 0.0])
-        np.testing.assert_allclose(basis_values(kv, 0.5), [0.0, 1.0])
+        np.testing.assert_allclose(dense(kv, -0.5), [1.0, 0.0])
+        np.testing.assert_allclose(dense(kv, 0.5), [0.0, 1.0])
 
     def test_matches_naive_recursion_grid30_degree4(self):
         kv = make_knot_vector(-1.0, 1.0, 30, 4)
-        got = basis_values(kv, 0.3)
+        got = dense(kv, 0.3)
         want = naive_row(kv, 0.3)
         np.testing.assert_allclose(got, want, atol=1e-12)
 
@@ -83,8 +93,31 @@ class TestBasisValues:
         rng = np.random.default_rng(7)
         for x in rng.uniform(-0.999, 0.999, size=25):
             np.testing.assert_allclose(
-                basis_values(kv, float(x)), naive_row(kv, float(x)), atol=1e-12
+                dense(kv, float(x)), naive_row(kv, float(x)), atol=1e-12
             )
+
+    @pytest.mark.parametrize("degree", [0, 1, 2, 3, 4])
+    @pytest.mark.parametrize("grid", [5, 7, 30, 80])
+    def test_band_matches_naive_at_knots_and_clamped_ends(self, grid, degree):
+        kv = make_knot_vector(-1.0, 1.0, grid, degree)
+        interior = kv.knots[degree : degree + grid]  # every grid knot but the right end
+        beside = [np.nextafter(interior[1:], -np.inf), np.nextafter(interior, np.inf)]
+        for x in [*interior, *np.concatenate(beside), -7.5]:
+            np.testing.assert_allclose(
+                dense(kv, float(x)), naive_row(kv, max(float(x), -1.0)), atol=1e-12
+            )
+        # the closed range's right end, and beyond it, take the limit from the left
+        left_limit = naive_row(kv, np.nextafter(1.0, -np.inf))
+        for x in (kv.knots[degree + grid], 1.0, 7.5):
+            np.testing.assert_allclose(dense(kv, float(x)), left_limit, atol=1e-12)
+        spans = knot_span(kv, np.array([*interior, 1.0]))
+        np.testing.assert_array_equal(spans, [*range(grid), grid - 1])
+
+    def test_knot_span_scalar_is_int(self):
+        kv = make_knot_vector(-1.0, 1.0, 8, 3)
+        assert knot_span(kv, 0.3) == 5 and isinstance(knot_span(kv, 0.3), int)
+        assert knot_span(kv, -4.0) == 0
+        assert knot_span(kv, 4.0) == 7
 
     def test_partition_of_unity(self):
         kv = make_knot_vector(-1.0, 1.0, 30, 4)
@@ -97,28 +130,30 @@ class TestBasisValues:
         kv = make_knot_vector(-1.0, 1.0, 20, 3)
         rng = np.random.default_rng(3)
         x = rng.uniform(-1.0, 1.0, size=200)
-        b = basis_values(kv, x)
+        b = dense(kv, x)
         assert np.all(b >= 0)
         assert np.all(np.count_nonzero(b, axis=1) <= kv.degree + 1)
 
     def test_clamping_saturates(self):
         kv = make_knot_vector(-1.0, 1.0, 10, 3)
-        np.testing.assert_allclose(basis_values(kv, 3.7), basis_values(kv, 1.0))
-        np.testing.assert_allclose(basis_values(kv, -250.0), basis_values(kv, -1.0))
+        np.testing.assert_allclose(dense(kv, 3.7), dense(kv, 1.0))
+        np.testing.assert_allclose(dense(kv, -250.0), dense(kv, -1.0))
 
     def test_array_shape_and_row_agreement(self):
         kv = make_knot_vector(-1.0, 1.0, 8, 2)
         x = np.array([-0.9, 0.0, 0.42, 0.99])
-        b = basis_values(kv, x)
+        assert basis_values(kv, x).shape == (4, kv.degree + 1)
+        assert basis_values(kv, 0.42).shape == (kv.degree + 1,)
+        b = dense(kv, x)
         assert b.shape == (4, kv.n_basis)
         for j, xj in enumerate(x):
-            np.testing.assert_allclose(b[j], basis_values(kv, float(xj)), atol=1e-15)
+            np.testing.assert_allclose(b[j], dense(kv, float(xj)), atol=1e-15)
 
 
 class TestBasisDerivatives:
     def test_degree1_hats(self):
         kv = make_knot_vector(-1.0, 1.0, 2, 1)
-        np.testing.assert_allclose(basis_derivatives(kv, -0.5), [-1.0, 1.0, 0.0])
+        np.testing.assert_allclose(dense(kv, -0.5, basis_derivatives), [-1.0, 1.0, 0.0])
 
     def test_degree0_rejected(self):
         kv = make_knot_vector(-1.0, 1.0, 5, 0)
@@ -128,8 +163,8 @@ class TestBasisDerivatives:
     def test_single_point_against_finite_difference(self):
         kv = make_knot_vector(-1.0, 1.0, 10, 4)
         step = 1e-6
-        fd = (basis_values(kv, 0.2 + step) - basis_values(kv, 0.2 - step)) / (2 * step)
-        assert np.max(np.abs(basis_derivatives(kv, 0.2) - fd)) < 1e-5
+        fd = (dense(kv, 0.2 + step) - dense(kv, 0.2 - step)) / (2 * step)
+        assert np.max(np.abs(dense(kv, 0.2, basis_derivatives) - fd)) < 1e-5
 
     @pytest.mark.parametrize("grid,degree", [(5, 2), (10, 3), (30, 4)])
     def test_matches_central_differences(self, grid, degree):
@@ -139,8 +174,8 @@ class TestBasisDerivatives:
         # step small enough that truncation error stays below 1e-5 relative
         # even for entries near the 1e-8 magnitude guard
         step = 1e-7
-        fd = (basis_values(kv, x + step) - basis_values(kv, x - step)) / (2 * step)
-        db = basis_derivatives(kv, x)
+        fd = (dense(kv, x + step) - dense(kv, x - step)) / (2 * step)
+        db = dense(kv, x, basis_derivatives)
         scale = np.maximum(np.abs(db), np.abs(fd))
         mask = scale > 1e-8
         assert np.max(np.abs(db - fd)[mask] / scale[mask]) < 1e-5
@@ -168,7 +203,7 @@ class TestEvalSpline:
     def test_least_squares_fit_recovers_sine(self):
         kv = make_knot_vector(-1.0, 1.0, 30, 4)
         xs = np.linspace(-1.0, 1.0, 400)
-        coef, *_ = np.linalg.lstsq(basis_values(kv, xs), np.sin(np.pi * xs), rcond=None)
+        coef, *_ = np.linalg.lstsq(dense(kv, xs), np.sin(np.pi * xs), rcond=None)
         p = SplineParams(coef)
         held_out = np.linspace(-0.995, 0.995, 173)
         err = np.abs(eval_spline(p, kv, held_out) - np.sin(np.pi * held_out))

@@ -1,16 +1,21 @@
 """Gradient correctness against finite differences, Adam, and the train loop."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from kancredit.network import (
+    _layer_batch,
     flatten_params,
     init_network,
     network_logits,
     parameter_count,
     set_params,
+    sigmoid,
     silu,
 )
+from kancredit.splines import basis_derivatives
 from kancredit.training import (
     AdamState,
     TrainConfig,
@@ -21,7 +26,47 @@ from kancredit.training import (
     train,
 )
 
+from test_splines import dense
+
 LN2 = float(np.log(2.0))
+
+
+def dense_layer(layer, X):
+    """Reference layer over the dense (n, n_in, n_basis) basis, contracted by einsum."""
+    basis = dense(layer.knots, X.ravel()).reshape(X.shape[0], layer.n_in, -1)
+    spline_out = np.einsum("qpi,npi->nqp", layer.coef, basis)
+    sig = sigmoid(X)
+    sil = X * sig
+    phi = layer.w_b[None, :, :] * sil[:, None, :] + layer.w_s[None, :, :] * spline_out
+    return phi.sum(axis=2), phi, (X, basis, spline_out, sil, sig)
+
+
+def dense_backward(net, x, y):
+    """Reference mean BCE and gradient in checkpoint order, over the dense basis."""
+    caches, cur = [], x
+    for layer in net.layers:
+        cur, _, cache = dense_layer(layer, cur)
+        caches.append(cache)
+    z = cur[:, 0]
+    loss = float(np.mean(np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))))
+    grad = ((sigmoid(z) - y) / len(y))[:, None]
+    per_layer = []
+    for li in range(len(net.layers) - 1, -1, -1):
+        layer = net.layers[li]
+        X, basis, spline_out, sil, sig = caches[li]
+        d_wb = np.einsum("nq,np->qp", grad, sil)
+        d_ws = np.einsum("nq,nqp->qp", grad, spline_out)
+        d_coef = layer.w_s[:, :, None] * np.einsum("nq,npi->qpi", grad, basis)
+        per_layer.insert(0, np.concatenate([d_wb[..., None], d_ws[..., None], d_coef], axis=2))
+        kv = layer.knots
+        in_range = (X > kv.range_min) & (X < kv.range_max)
+        dbasis = dense(kv, X.ravel(), basis_derivatives).reshape(basis.shape)
+        dspline = np.einsum("qpi,npi->nqp", layer.coef, dbasis * in_range[:, :, None])
+        dsil = sig * (1.0 + X * (1.0 - sig))
+        grad = np.einsum("nq,qp->np", grad, layer.w_b) * dsil + np.einsum(
+            "nq,nqp->np", grad, layer.w_s[None, :, :] * dspline
+        )
+    return loss, np.concatenate([g.ravel() for g in per_layer])
 
 
 class TestBceWithLogits:
@@ -73,6 +118,40 @@ class TestBackward:
         loss2, g2 = backward(net, np.vstack([x, x]), np.concatenate([y, y]))
         assert loss1 == pytest.approx(loss2, abs=1e-14)
         np.testing.assert_allclose(g1, g2, atol=1e-14)
+
+    @pytest.mark.parametrize("widths,grid", [([10, 1], 80), ([10, 4, 1], 30), ([3, 2, 2, 1], 5)])
+    def test_banded_kernel_matches_dense_reference(self, widths, grid):
+        net = init_network(widths, grid, 4, seed=21)
+        rng = np.random.default_rng(22)
+        set_params(net, rng.normal(scale=0.5, size=parameter_count(net)))
+        x = rng.uniform(-1.3, 1.3, size=(300, widths[0]))  # some inputs clamp
+        x[:8] = net.layers[0].knots.knots[4:12, None]  # exact knots
+        y = rng.integers(0, 2, size=300)
+        cur = x
+        for layer in net.layers:
+            got, want = _layer_batch(layer, cur), dense_layer(layer, cur)
+            for g, w in zip(got[:2], want[:2]):
+                np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12)
+            cur = got[0]
+        loss, grads = backward(net, x, y)
+        want_loss, want_grads = dense_backward(net, x, y)
+        assert loss == pytest.approx(want_loss, rel=1e-12)
+        np.testing.assert_allclose(grads, want_grads, rtol=1e-12, atol=1e-12)
+
+    def test_full_chunk_peak_memory(self):
+        # one 16384-row chunk of the shipped 10,1 grid-80 model; a dense
+        # (n, n_in, n_basis) basis alone would take 110 MB here
+        net = init_network([10, 1], 80, 4, seed=3)
+        rng = np.random.default_rng(23)
+        x = rng.uniform(-1.2, 1.2, size=(16384, 10))
+        y = rng.integers(0, 2, size=16384)
+        tracemalloc.start()
+        try:
+            backward(net, x, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 60e6
 
     def test_validation(self):
         net = init_network([4, 1], 5, 3, seed=0)
