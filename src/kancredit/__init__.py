@@ -58,7 +58,7 @@ from kancredit.metrics import (
 from kancredit.data import (
     FEATURE_NAMES,
     LABEL_NAME,
-    RawRecord,
+    RawTable,
     PreprocessPolicy,
     Scaler,
     Dataset,

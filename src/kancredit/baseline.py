@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .network import sigmoid
-from .training import AdamState, TrainConfig, adam_step
+from .training import AdamState, TrainConfig, _bce_terms, adam_step
 
 __all__ = [
     "LogisticModel",
@@ -60,10 +60,7 @@ def train_logistic(dataset, learning_rate: float = 0.1, steps: int = 100, seed: 
     started = time.perf_counter()
     for t in range(1, steps + 1):
         z = x @ params[:d] + params[d]
-        # mean of max(z, 0) - z*y + log1p(exp(-|z|)), the stable BCE form
-        history[t - 1] = float(
-            np.mean(np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z))))
-        )
+        history[t - 1] = float(np.mean(_bce_terms(z, y)))
         residual = (sigmoid(z) - y) / n
         grads = np.concatenate([x.T @ residual, [residual.sum()]])
         params, state = adam_step(params, grads, state, t, cfg)

@@ -17,14 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
-from .data import (
-    FEATURE_NAMES,
-    load_gmsc_csv,
-    preprocess,
-    split,
-    write_dataset_csv,
-    write_scaler_text,
-)
+from .data import load_gmsc_csv, preprocess, split, write_dataset_csv, write_scaler_text
 from .explain import (
     decision_path,
     decision_path_text,
@@ -83,66 +76,71 @@ def _parse_split_name(text: str) -> str:
 
 @dataclass(frozen=True)
 class _Key:
+    """One setting: the config key, its ``--flag`` (``_`` as ``-``) and its type."""
+
     name: str
     convert: object
     default: object = None
     required: bool = False
+    help: str | None = None
 
 
+# every subcommand's settings, in --help order; the parser is built from them
 _KEYS = {
     "train": (
-        _Key("data", str, required=True),
-        _Key("out", str, required=True),
-        _Key("width", _parse_width, (10, 4, 1)),
-        _Key("grid", int, 30),
-        _Key("k", int, 4),
-        _Key("lr", float, 0.1),
-        _Key("steps", int, 100),
-        _Key("batch", int, -1),
-        _Key("seed", int, 42),
+        _Key("data", str, required=True, help="GMSC-format CSV"),
+        _Key("out", str, required=True, help="output directory"),
+        _Key("width", _parse_width, (10, 4, 1), help="layer widths, e.g. 10,4,1"),
+        _Key("grid", int, 30, help="spline grid interval count"),
+        _Key("k", int, 4, help="spline degree"),
+        _Key("lr", float, 0.1, help="Adam learning rate"),
+        _Key("steps", int, 100, help="training steps"),
+        _Key("batch", int, -1, help="batch size, -1 for full batch"),
+        _Key("seed", int, 42, help="seed for init, batching, and split"),
         _Key("test_fraction", float, 0.2),
-        _Key("dump_data", _parse_bool, False),
+        _Key("dump_data", _parse_bool, False,
+             help="also write the preprocessed train/test CSVs and scaler"),
     ),
     "eval": (
-        _Key("model", str, required=True),
-        _Key("data", str, required=True),
-        _Key("out", str, required=True),
-        _Key("on", _parse_split_name, "test"),
+        _Key("model", str, required=True, help="checkpoint JSON from train"),
+        _Key("data", str, required=True, help="GMSC-format CSV"),
+        _Key("out", str, required=True, help="output directory"),
+        _Key("on", _parse_split_name, "test", help="train or test (default test)"),
         _Key("threshold", float, 0.5),
         _Key("seed", int, 42),
         _Key("test_fraction", float, 0.2),
-        _Key("width", _parse_width),
-        _Key("grid", int),
-        _Key("k", int),
+        _Key("width", _parse_width, help="assert checkpoint widths"),
+        _Key("grid", int, help="assert checkpoint grid"),
+        _Key("k", int, help="assert checkpoint degree"),
     ),
     "explain": (
-        _Key("model", str, required=True),
-        _Key("data", str, required=True),
-        _Key("out", str, required=True),
+        _Key("model", str, required=True, help="checkpoint JSON from train"),
+        _Key("data", str, required=True, help="GMSC-format CSV"),
+        _Key("out", str, required=True, help="output directory"),
         _Key("on", _parse_split_name, "test"),
         _Key("seed", int, 42),
         _Key("test_fraction", float, 0.2),
-        _Key("points", int, 100),
-        _Key("sample", int),
+        _Key("points", int, 100, help="samples per activation curve"),
+        _Key("sample", int, help="also trace this row's decision path"),
     ),
     "sweep": (
-        _Key("data", str, required=True),
-        _Key("out", str, required=True),
+        _Key("data", str, required=True, help="GMSC-format CSV"),
+        _Key("out", str, required=True, help="output directory"),
         _Key("seed", int, 42),
         _Key("test_fraction", float, 0.2),
-        _Key("parallel", int, 1),
+        _Key("parallel", int, 1, help="concurrent sweep cells (default 1)"),
     ),
     "export-dot": (
-        _Key("model", str, required=True),
-        _Key("data", str, required=True),
-        _Key("out", str),
+        _Key("model", str, required=True, help="checkpoint JSON from train"),
+        _Key("data", str, required=True, help="GMSC-format CSV (edge widths come from data)"),
+        _Key("out", str, help="output directory; stdout when omitted"),
         _Key("on", _parse_split_name, "test"),
         _Key("seed", int, 42),
         _Key("test_fraction", float, 0.2),
     ),
     "curves": (
-        _Key("model", str, required=True),
-        _Key("out", str),
+        _Key("model", str, required=True, help="checkpoint JSON from train"),
+        _Key("out", str, help="output directory; stdout when omitted"),
         _Key("points", int, 100),
     ),
 }
@@ -178,7 +176,7 @@ def _resolve(command: str, ns) -> dict:
                 raise ValueError(f"invalid-config: unknown key {name!r} for {command}")
             values[name] = None if raw == _NONE_TOKEN else by_name[name].convert(raw)
     for key in keys:
-        flag = getattr(ns, key.name.replace("-", "_"))
+        flag = getattr(ns, key.name)
         if flag is not None:
             values[key.name] = flag
     for key in keys:
@@ -210,10 +208,14 @@ def _write_kv(path: Path, mapping: dict) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _write_csv(path: Path, header, rows) -> None:
+def _csv_text(header, rows) -> str:
     lines = [",".join(header)]
     lines += [",".join(_fmt(cell) for cell in row) for row in rows]
-    path.write_text("\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
+
+
+def _write_csv(path: Path, header, rows) -> None:
+    path.write_text(_csv_text(header, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -221,10 +223,9 @@ def _write_csv(path: Path, header, rows) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _load_split(data_path, test_fraction, seed):
-    records = load_gmsc_csv(data_path)
-    dataset = preprocess(records)
-    return split(dataset, test_fraction, seed)
+def _load_split(values):
+    table = load_gmsc_csv(values["data"])
+    return split(preprocess(table), values["test_fraction"], values["seed"])
 
 
 def _pick(train_ds, test_ds, name):
@@ -253,11 +254,16 @@ def _check_against_checkpoint(net, values):
     values.update(actual)
 
 
-def _feature_ids(net):
-    n = net.widths[0]
-    if n == len(FEATURE_NAMES):
-        return [f"x{p}" for p in range(n)], list(FEATURE_NAMES)
-    return [f"x{p}" for p in range(n)], [f"x{p}" for p in range(n)]
+def _train_config(values) -> TrainConfig:
+    return TrainConfig(
+        widths=values["width"],
+        grid_count=values["grid"],
+        degree=values["k"],
+        learning_rate=values["lr"],
+        steps=values["steps"],
+        batch_size=values["batch"],
+        seed=values["seed"],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -269,16 +275,8 @@ def cmd_train(ns) -> int:
     values = _resolve("train", ns)
     out = Path(values["out"])
     out.mkdir(parents=True, exist_ok=True)
-    train_ds, test_ds = _load_split(values["data"], values["test_fraction"], values["seed"])
-    cfg = TrainConfig(
-        widths=values["width"],
-        grid_count=values["grid"],
-        degree=values["k"],
-        learning_rate=values["lr"],
-        steps=values["steps"],
-        batch_size=values["batch"],
-        seed=values["seed"],
-    )
+    train_ds, test_ds = _load_split(values)
+    cfg = _train_config(values)
     net, report = train(train_ds, cfg)
     save_network(net, out / "model.json")
     _write_csv(
@@ -315,7 +313,7 @@ def cmd_eval(ns) -> int:
     _check_against_checkpoint(net, values)
     out = Path(values["out"])
     out.mkdir(parents=True, exist_ok=True)
-    train_ds, test_ds = _load_split(values["data"], values["test_fraction"], values["seed"])
+    train_ds, test_ds = _load_split(values)
     dataset = _pick(train_ds, test_ds, values["on"])
     metrics, probs = _metric_report(net, dataset, threshold=values["threshold"])
     metrics["split"] = values["on"]
@@ -339,7 +337,7 @@ def cmd_eval(ns) -> int:
 def cmd_explain(ns) -> int:
     values = _resolve("explain", ns)
     net = load_network(values["model"])
-    train_ds, test_ds = _load_split(values["data"], values["test_fraction"], values["seed"])
+    train_ds, test_ds = _load_split(values)
     dataset = _pick(train_ds, test_ds, values["on"])
     # everything that can reject the input runs before the first write
     i = values["sample"]
@@ -351,7 +349,7 @@ def cmd_explain(ns) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     raw, normalized, ranking = propagate_scores(scores)
-    ids, labels = _feature_ids(net)
+    ids = [f"x{p}" for p in range(net.widths[0])]
     rank_of = {p: r for r, p in enumerate(ranking)}
     _write_csv(
         out / "attribution.csv",
@@ -376,43 +374,22 @@ def cmd_explain(ns) -> int:
     return 0
 
 
-def _sweep_cell(cell_dir, sweep_values, train_ds, test_ds, grid, lr, steps):
-    """Train one sweep configuration in its own subdirectory.
+def _sweep_cell(values, train_ds, test_ds):
+    """Train one sweep configuration, given as resolved `train` values.
 
     The cell manifest is a complete `train` manifest, so any cell can be
     reproduced standalone with `kancredit train --config <cell>/manifest.txt`.
     """
+    cell_dir = Path(values["out"])
     cell_dir.mkdir(parents=True, exist_ok=True)
-    seed = sweep_values["seed"]
-    cfg = TrainConfig(
-        widths=SWEEP_WIDTH,
-        grid_count=grid,
-        degree=SWEEP_DEGREE,
-        learning_rate=lr,
-        steps=steps,
-        seed=seed,
-    )
     started = time.perf_counter()
-    net, _ = train(train_ds, cfg)
+    net, _ = train(train_ds, _train_config(values))
     seconds = time.perf_counter() - started
     save_network(net, cell_dir / "model.json")
     metrics, _ = _metric_report(net, test_ds)
     metrics["split"] = "test"
     _write_kv(cell_dir / "metrics.txt", metrics)
-    manifest = {
-        "data": sweep_values["data"],
-        "out": str(cell_dir),
-        "width": SWEEP_WIDTH,
-        "grid": grid,
-        "k": SWEEP_DEGREE,
-        "lr": lr,
-        "steps": steps,
-        "batch": -1,
-        "seed": seed,
-        "test_fraction": sweep_values["test_fraction"],
-        "dump_data": False,
-    }
-    _write_manifest(cell_dir, "train", manifest)
+    _write_manifest(cell_dir, "train", values)
     return metrics["roc_auc"], metrics["class0_f1"], seconds
 
 
@@ -420,17 +397,27 @@ def cmd_sweep(ns) -> int:
     values = _resolve("sweep", ns)
     out = Path(values["out"])
     out.mkdir(parents=True, exist_ok=True)
-    train_ds, test_ds = _load_split(values["data"], values["test_fraction"], values["seed"])
+    train_ds, test_ds = _load_split(values)
 
+    base = {k.name: k.default for k in _KEYS["train"]} | {
+        "data": values["data"],
+        "width": SWEEP_WIDTH,
+        "k": SWEEP_DEGREE,
+        "seed": values["seed"],
+        "test_fraction": values["test_fraction"],
+    }
     cells = [
-        (out / f"grid_{g}", g, GRID_SWEEP_LR, GRID_SWEEP_STEPS) for g in GRID_SWEEP
+        base | {"out": str(out / f"grid_{g}"), "grid": g, "lr": GRID_SWEEP_LR,
+                "steps": GRID_SWEEP_STEPS}
+        for g in GRID_SWEEP
     ] + [
-        (out / f"lr_{_fmt(lr)}", LR_SWEEP_GRID, lr, LR_SWEEP_STEPS) for lr in LR_SWEEP
+        base | {"out": str(out / f"lr_{_fmt(lr)}"), "grid": LR_SWEEP_GRID, "lr": lr,
+                "steps": LR_SWEEP_STEPS}
+        for lr in LR_SWEEP
     ]
 
     def run(cell):
-        cell_dir, grid, lr, steps = cell
-        return _sweep_cell(cell_dir, values, train_ds, test_ds, grid, lr, steps)
+        return _sweep_cell(cell, train_ds, test_ds)
 
     workers = max(1, values["parallel"])
     if workers > 1:
@@ -482,7 +469,7 @@ def cmd_sweep(ns) -> int:
 def cmd_export_dot(ns) -> int:
     values = _resolve("export-dot", ns)
     net = load_network(values["model"])
-    train_ds, test_ds = _load_split(values["data"], values["test_fraction"], values["seed"])
+    train_ds, test_ds = _load_split(values)
     dataset = _pick(train_ds, test_ds, values["on"])
     dot = export_dot(net, edge_scores(net, dataset))
     if values["out"] is None:
@@ -502,7 +489,7 @@ def cmd_curves(ns) -> int:
     rows = sample_activation_curves(net, values["points"])
     header = ("layer", "q", "p", "x", "phi")
     if values["out"] is None:
-        sys.stdout.write("\n".join([",".join(header)] + [",".join(_fmt(c) for c in r) for r in rows]) + "\n")
+        sys.stdout.write(_csv_text(header, rows))
         return 0
     out = Path(values["out"])
     out.mkdir(parents=True, exist_ok=True)
@@ -517,8 +504,15 @@ def cmd_curves(ns) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sub):
-    sub.add_argument("--config", help="flat key=value file; flags override its entries")
+# subcommand -> (handler, help line); its flags come from _KEYS
+_COMMANDS = {
+    "train": (cmd_train, "fit a network and write checkpoint + metrics"),
+    "eval": (cmd_eval, "score a checkpoint on a split"),
+    "explain": (cmd_explain, "attribution, structure DOT, activation curves"),
+    "sweep": (cmd_sweep, "grid-size and learning-rate sweeps"),
+    "export-dot": (cmd_export_dot, "write the structure graph as DOT"),
+    "curves": (cmd_curves, "sample every edge's activation curve"),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -527,75 +521,17 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Spline-network credit default scoring: train, evaluate, explain.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("train", help="fit a network and write checkpoint + metrics")
-    _add_common(p)
-    p.add_argument("--data", help="GMSC-format CSV")
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--width", type=_parse_width, help="layer widths, e.g. 10,4,1")
-    p.add_argument("--grid", type=int, help="spline grid interval count")
-    p.add_argument("--k", type=int, help="spline degree")
-    p.add_argument("--lr", type=float, help="Adam learning rate")
-    p.add_argument("--steps", type=int, help="training steps")
-    p.add_argument("--batch", type=int, help="batch size, -1 for full batch")
-    p.add_argument("--seed", type=int, help="seed for init, batching, and split")
-    p.add_argument("--test-fraction", dest="test_fraction", type=float)
-    p.add_argument("--dump-data", dest="dump_data", action="store_true", default=None,
-                   help="also write the preprocessed train/test CSVs and scaler")
-    p.set_defaults(func=cmd_train)
-
-    p = subs.add_parser("eval", help="score a checkpoint on a split")
-    _add_common(p)
-    p.add_argument("--model", help="checkpoint JSON from train")
-    p.add_argument("--data", help="GMSC-format CSV")
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--on", type=_parse_split_name, help="train or test (default test)")
-    p.add_argument("--threshold", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--test-fraction", dest="test_fraction", type=float)
-    p.add_argument("--width", type=_parse_width, help="assert checkpoint widths")
-    p.add_argument("--grid", type=int, help="assert checkpoint grid")
-    p.add_argument("--k", type=int, help="assert checkpoint degree")
-    p.set_defaults(func=cmd_eval)
-
-    p = subs.add_parser("explain", help="attribution, structure DOT, activation curves")
-    _add_common(p)
-    p.add_argument("--model", help="checkpoint JSON from train")
-    p.add_argument("--data", help="GMSC-format CSV")
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--on", type=_parse_split_name)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--test-fraction", dest="test_fraction", type=float)
-    p.add_argument("--points", type=int, help="samples per activation curve")
-    p.add_argument("--sample", type=int, help="also trace this row's decision path")
-    p.set_defaults(func=cmd_explain)
-
-    p = subs.add_parser("sweep", help="grid-size and learning-rate sweeps")
-    _add_common(p)
-    p.add_argument("--data", help="GMSC-format CSV")
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--test-fraction", dest="test_fraction", type=float)
-    p.add_argument("--parallel", type=int, help="concurrent sweep cells (default 1)")
-    p.set_defaults(func=cmd_sweep)
-
-    p = subs.add_parser("export-dot", help="write the structure graph as DOT")
-    _add_common(p)
-    p.add_argument("--model", help="checkpoint JSON from train")
-    p.add_argument("--data", help="GMSC-format CSV (edge widths come from data)")
-    p.add_argument("--out", help="output directory; stdout when omitted")
-    p.add_argument("--on", type=_parse_split_name)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--test-fraction", dest="test_fraction", type=float)
-    p.set_defaults(func=cmd_export_dot)
-
-    p = subs.add_parser("curves", help="sample every edge's activation curve")
-    _add_common(p)
-    p.add_argument("--model", help="checkpoint JSON from train")
-    p.add_argument("--out", help="output directory; stdout when omitted")
-    p.add_argument("--points", type=int)
-    p.set_defaults(func=cmd_curves)
-
+    for command, (func, help_line) in _COMMANDS.items():
+        p = subs.add_parser(command, help=help_line)
+        p.add_argument("--config", help="flat key=value file; flags override its entries")
+        for key in _KEYS[command]:
+            flag = "--" + key.name.replace("_", "-")
+            if key.convert is _parse_bool:
+                p.add_argument(flag, dest=key.name, action="store_true", default=None,
+                               help=key.help)
+            else:
+                p.add_argument(flag, dest=key.name, type=key.convert, help=key.help)
+        p.set_defaults(func=func)
     return parser
 
 

@@ -2,7 +2,9 @@
 
 The public training file has one label column and ten feature columns; the
 loader matches columns by header name (any order, optional unnamed index
-column first) and rejects anything malformed with the offending row number.
+column first), rejects anything malformed with the offending row number, and
+returns a RawTable: the labels and the raw feature matrix, NaN where an
+optional cell is missing.
 
 Preprocessing policy: impute missing MonthlyIncome with the training
 median and missing NumberOfDependents with 0, winsorize every column at
@@ -22,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
-    "RawRecord",
+    "RawTable",
     "PreprocessPolicy",
     "Scaler",
     "Dataset",
@@ -38,19 +40,19 @@ __all__ = [
 
 LABEL_NAME = "SeriousDlqin2yrs"
 
-# (csv column, record attribute, parse kind, may be missing, must be >= 0)
+# (csv column, parse kind, may be missing, must be >= 0), in RawTable order
 _COLUMNS = [
-    (LABEL_NAME, "serious_dlqin_2yrs", "label", False, True),
-    ("RevolvingUtilizationOfUnsecuredLines", "revolving_utilization", "float", False, True),
-    ("age", "age", "int", False, False),
-    ("NumberOfTime30-59DaysPastDueNotWorse", "past_due_30_59", "int", False, True),
-    ("DebtRatio", "debt_ratio", "float", False, True),
-    ("MonthlyIncome", "monthly_income", "float", True, True),
-    ("NumberOfOpenCreditLinesAndLoans", "open_credit_lines", "int", False, True),
-    ("NumberOfTimes90DaysLate", "past_due_90", "int", False, True),
-    ("NumberRealEstateLoansOrLines", "real_estate_loans", "int", False, True),
-    ("NumberOfTime60-89DaysPastDueNotWorse", "past_due_60_89", "int", False, True),
-    ("NumberOfDependents", "dependents", "int", True, True),
+    (LABEL_NAME, "label", False, True),
+    ("RevolvingUtilizationOfUnsecuredLines", "float", False, True),
+    ("age", "int", False, False),
+    ("NumberOfTime30-59DaysPastDueNotWorse", "int", False, True),
+    ("DebtRatio", "float", False, True),
+    ("MonthlyIncome", "float", True, True),
+    ("NumberOfOpenCreditLinesAndLoans", "int", False, True),
+    ("NumberOfTimes90DaysLate", "int", False, True),
+    ("NumberRealEstateLoansOrLines", "int", False, True),
+    ("NumberOfTime60-89DaysPastDueNotWorse", "int", False, True),
+    ("NumberOfDependents", "int", True, True),
 ]
 
 FEATURE_NAMES = tuple(name for name, *_ in _COLUMNS[1:])
@@ -59,18 +61,14 @@ _MISSING_TOKENS = {"", "na", "nan", "null"}
 
 
 @dataclass(frozen=True)
-class RawRecord:
-    serious_dlqin_2yrs: int
-    revolving_utilization: float
-    age: int
-    past_due_30_59: int
-    debt_ratio: float
-    monthly_income: float | None
-    open_credit_lines: int
-    past_due_90: int
-    real_estate_loans: int
-    past_due_60_89: int
-    dependents: int | None
+class RawTable:
+    """Parsed GMSC rows: labels (n,) int64 and raw features (n, 10), NaN where missing."""
+
+    labels: np.ndarray
+    raw: np.ndarray
+
+    def __len__(self) -> int:
+        return self.labels.shape[0]
 
 
 @dataclass(frozen=True)
@@ -129,11 +127,11 @@ class Dataset:
         return self.labels.shape[0]
 
 
-def _parse_cell(cell: str, kind: str, optional: bool, nonneg: bool, where: str):
+def _parse_cell(cell: str, kind: str, optional: bool, nonneg: bool, where: str) -> float:
     text = cell.strip()
     if text.lower() in _MISSING_TOKENS:
         if optional:
-            return None
+            return math.nan
         raise ValueError(f"parse-error({where}): missing value in required column")
     try:
         value = float(text)
@@ -143,19 +141,18 @@ def _parse_cell(cell: str, kind: str, optional: bool, nonneg: bool, where: str):
         raise ValueError(f"parse-error({where}): non-finite value: {text!r}")
     if nonneg and value < 0:
         raise ValueError(f"parse-error({where}): negative value: {text!r}")
-    if kind == "label":
-        if value not in (0.0, 1.0):
-            raise ValueError(f"parse-error({where}): label must be 0 or 1: {text!r}")
-        return int(value)
-    if kind == "int":
-        if value != int(value):
-            raise ValueError(f"parse-error({where}): expected an integer: {text!r}")
-        return int(value)
-    return value
+    if kind == "float":
+        return value
+    if kind == "label" and value not in (0.0, 1.0):
+        raise ValueError(f"parse-error({where}): label must be 0 or 1: {text!r}")
+    whole = int(value)
+    if value != whole:
+        raise ValueError(f"parse-error({where}): expected an integer: {text!r}")
+    return float(whole)  # "-0" is the integer 0, not -0.0
 
 
-def load_gmsc_csv(path) -> list:
-    """Parse the GMSC training CSV into RawRecord objects, strictly."""
+def load_gmsc_csv(path) -> RawTable:
+    """Parse the GMSC training CSV into a RawTable, strictly."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -171,9 +168,9 @@ def load_gmsc_csv(path) -> list:
             raise ValueError(
                 f"header-mismatch: missing columns {missing}, unexpected {extra}"
             )
-        col_index = {name: offset + i for i, name in enumerate(names)}
+        cells = [(offset + names.index(name), *spec) for name, *spec in _COLUMNS]
 
-        records = []
+        values = []
         for row in reader:
             if not row:
                 continue
@@ -182,39 +179,24 @@ def load_gmsc_csv(path) -> list:
                 raise ValueError(
                     f"parse-error({where}): expected {len(header)} cells, got {len(row)}"
                 )
-            kwargs = {}
-            for name, attr, kind, optional, nonneg in _COLUMNS:
-                kwargs[attr] = _parse_cell(row[col_index[name]], kind, optional, nonneg, where)
-            records.append(RawRecord(**kwargs))
-    return records
+            for index, kind, optional, nonneg in cells:
+                values.append(_parse_cell(row[index], kind, optional, nonneg, where))
+    table = np.array(values, dtype=np.float64).reshape(-1, len(_COLUMNS))
+    return RawTable(labels=table[:, 0].astype(np.int64), raw=table[:, 1:])
 
 
-def _raw_matrix(records) -> tuple[np.ndarray, np.ndarray]:
-    n = len(records)
-    raw = np.empty((n, len(FEATURE_NAMES)))
-    labels = np.empty(n, dtype=np.int64)
-    attrs = [attr for _, attr, *_ in _COLUMNS[1:]]
-    for i, rec in enumerate(records):
-        labels[i] = rec.serious_dlqin_2yrs
-        for j, attr in enumerate(attrs):
-            value = getattr(rec, attr)
-            raw[i, j] = np.nan if value is None else float(value)
-    return raw, labels
-
-
-def preprocess(records, policy: PreprocessPolicy | None = None) -> Dataset:
-    """Records -> normalized Dataset; keeps the raw matrix for later refits."""
-    if not records:
+def preprocess(table: RawTable, policy: PreprocessPolicy | None = None) -> Dataset:
+    """RawTable -> normalized Dataset; keeps the raw matrix for later refits."""
+    if not len(table):
         raise ValueError("empty-input: no records to preprocess")
     policy = policy or PreprocessPolicy()
-    raw, labels = _raw_matrix(records)
-    scaler = Scaler.fit(raw, policy)
+    scaler = Scaler.fit(table.raw, policy)
     return Dataset(
-        features=scaler.transform(raw),
-        labels=labels,
+        features=scaler.transform(table.raw),
+        labels=table.labels,
         feature_names=FEATURE_NAMES,
         scaler=scaler,
-        raw=raw,
+        raw=table.raw,
         policy=policy,
     )
 

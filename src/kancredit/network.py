@@ -67,11 +67,8 @@ COEF_INIT_SCALE = 0.1
 def sigmoid(x):
     """Numerically stable logistic function for scalars or arrays."""
     arr = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(arr)
-    pos = arr >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-arr[pos]))
-    ex = np.exp(arr[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    e = np.exp(np.minimum(arr, -arr))  # exp(-|x|); a NaN keeps its sign bit
+    out = np.where(arr >= 0, 1.0, e) / (1.0 + e)
     return float(out) if arr.ndim == 0 else out
 
 

@@ -107,12 +107,12 @@ def bce_with_logits(logit: float, label: int) -> float:
     """Binary cross-entropy on a logit, in the overflow-safe rearrangement."""
     if label not in (0, 1):
         raise ValueError(f"invalid-label: expected 0 or 1, got {label!r}")
-    z = float(logit)
-    return max(z, 0.0) - z * label + float(np.log1p(np.exp(-abs(z))))
+    return float(_bce_terms(float(logit), label))
 
 
-def _bce_mean(z: np.ndarray, y: np.ndarray) -> float:
-    return float(np.mean(np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))))
+def _bce_terms(z, y):
+    """Per-sample BCE on logits: max(z, 0) - z*y + log1p(exp(-|z|))."""
+    return np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))
 
 
 def _check_batch(net: KanNetwork, batch_x: np.ndarray, batch_y: np.ndarray):
@@ -176,7 +176,7 @@ def backward(net: KanNetwork, batch_x, batch_y):
             caches.append(cache)
 
         z = cur[:, 0]
-        loss_sum += np.sum(np.maximum(z, 0.0) - z * yc + np.log1p(np.exp(-np.abs(z))))
+        loss_sum += np.sum(_bce_terms(z, yc))
         grad = ((sigmoid(z) - yc) / n_total)[:, None]
         for li in range(len(net.layers) - 1, -1, -1):
             grad = _layer_backward(net.layers[li], caches[li], grad, grad_views[li], li > 0)
@@ -237,7 +237,7 @@ def train(dataset, cfg: TrainConfig):
 
 
 def _mean_loss(net: KanNetwork, x: np.ndarray, y: np.ndarray) -> float:
-    return _bce_mean(network_logits(net, x), y)
+    return float(np.mean(_bce_terms(network_logits(net, x), y)))
 
 
 def grad_check(net: KanNetwork, batch_x, batch_y, eps: float = 1e-5) -> float:

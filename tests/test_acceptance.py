@@ -55,8 +55,8 @@ def verdict(number: int, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def gmsc_split():
-    records = load_gmsc_csv(GMSC_PATH)
-    dataset = preprocess(records)
+    table = load_gmsc_csv(GMSC_PATH)
+    dataset = preprocess(table)
     return split(dataset, 0.2, seed=42)
 
 

@@ -1,11 +1,12 @@
 """End-to-end CLI behaviour on synthetic data: exit codes, artifacts, reruns."""
 
 import json
+import re
 
 import numpy as np
 import pytest
 
-from kancredit.cli import main
+from kancredit.cli import _KEYS, main
 from kancredit.network import load_network
 
 from conftest import make_gmsc_rows, write_gmsc_csv
@@ -372,3 +373,9 @@ class TestUsageErrors:
     def test_help_exits_0(self, capsys):
         assert main(["--help"]) == 0
         assert "train" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", list(_KEYS))
+    def test_subcommand_flags_are_config_plus_its_keys(self, command, capsys):
+        assert main([command, "--help"]) == 0
+        flags = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out)) - {"--help"}
+        assert flags == {"--config"} | {"--" + k.name.replace("_", "-") for k in _KEYS[command]}

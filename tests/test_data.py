@@ -30,14 +30,69 @@ def sorted_percentile(values, q):
     return v[lo] * (1 - frac) + v[lo + 1] * frac
 
 
+_GOOD_CELLS = dict(zip(GMSC_COLUMNS, ["0", "0.5", "45", "0", "0.3", "5000", "6", "0", "1", "0", "2"]))
+
+
+def _line(index, changes=(), columns=GMSC_COLUMNS):
+    """One indexed data line, with the cells named in ``changes`` replaced."""
+    cells = {**_GOOD_CELLS, **dict(changes)}
+    return ",".join([str(index)] + [cells[c] for c in columns])
+
+
+_HEADER = "," + ",".join(GMSC_COLUMNS)
+_REVERSED = GMSC_COLUMNS[::-1]
+
+# file lines -> the loader's exact error; N in "row N" counts file lines
+MALFORMED = {
+    "NA-required": (
+        [_HEADER, _line(1), _line(2, {"DebtRatio": "NA"})],
+        "parse-error(row 3): missing value in required column",
+    ),
+    "empty-required": (
+        [_HEADER, _line(1), _line(2, {"DebtRatio": ""})],
+        "parse-error(row 3): missing value in required column",
+    ),
+    "nan-required": (
+        [_HEADER, _line(1, {"RevolvingUtilizationOfUnsecuredLines": "nan"})],
+        "parse-error(row 2): missing value in required column",
+    ),
+    "inf": (
+        [_HEADER, _line(1, {"DebtRatio": "inf"})],
+        "parse-error(row 2): non-finite value: 'inf'",
+    ),
+    "plus-nan-income": (
+        [_HEADER, _line(1), _line(2), _line(3, {"MonthlyIncome": "+nan"})],
+        "parse-error(row 4): non-finite value: '+nan'",
+    ),
+    "fraction-in-int": (
+        [_HEADER, _line(1, {"age": "2.5"})],
+        "parse-error(row 2): expected an integer: '2.5'",
+    ),
+    "short-row": (
+        [_HEADER, _line(1), _line(2).rsplit(",", 1)[0]],
+        "parse-error(row 3): expected 12 cells, got 11",
+    ),
+    "blank-line-before-bad-row": (
+        [_HEADER, _line(1), "", _line(2, {"age": "x"})],
+        "parse-error(row 4): not a number: 'x'",
+    ),
+    # DebtRatio comes first in the file, age first in the schema
+    "two-bad-cells": (
+        ["," + ",".join(_REVERSED), _line(1, {"DebtRatio": "-1", "age": "x"}, _REVERSED)],
+        "parse-error(row 2): not a number: 'x'",
+    ),
+}
+
+
 class TestLoadCsv:
     def test_row_count_and_types(self, gmsc_csv):
-        records = load_gmsc_csv(gmsc_csv)
-        assert len(records) == 400
-        first = records[0]
-        assert first.serious_dlqin_2yrs in (0, 1)
-        assert isinstance(first.age, int)
-        assert isinstance(first.revolving_utilization, float)
+        table = load_gmsc_csv(gmsc_csv)
+        assert len(table) == 400
+        assert table.labels.dtype == np.int64
+        assert set(np.unique(table.labels)) <= {0, 1}
+        assert table.raw.dtype == np.float64 and table.raw.shape == (400, 10)
+        age = table.raw[:, FEATURE_NAMES.index("age")]
+        np.testing.assert_array_equal(age, np.floor(age))
 
     def test_missing_income_becomes_none(self, tmp_path):
         rows = make_gmsc_rows(5, seed=1)
@@ -46,10 +101,15 @@ class TestLoadCsv:
         rows[4][10] = None  # NumberOfDependents
         path = tmp_path / "m.csv"
         write_gmsc_csv(path, rows)
-        records = load_gmsc_csv(path)
-        assert records[2].monthly_income is None
-        assert records[4].dependents is None
-        assert records[1].monthly_income is not None
+        table = load_gmsc_csv(path)
+        income = FEATURE_NAMES.index("MonthlyIncome")
+        dependents = FEATURE_NAMES.index("NumberOfDependents")
+        assert np.isnan(table.raw[2, income])
+        assert np.isnan(table.raw[4, dependents])
+        assert table.raw[1, income] == 4200
+        # NaN exactly where a cell was written as NA
+        expected = np.array([[v is None for v in row[1:]] for row in rows])
+        np.testing.assert_array_equal(np.isnan(table.raw), expected)
 
     def test_shuffled_header_matches_canonical(self, tmp_path):
         rows = make_gmsc_rows(3, seed=2)
@@ -60,7 +120,9 @@ class TestLoadCsv:
         shuffled_rows = [[row[i] for i in perm] for row in rows]
         shuf = tmp_path / "shuf.csv"
         write_gmsc_csv(shuf, shuffled_rows, header=shuffled_header)
-        assert load_gmsc_csv(shuf) == load_gmsc_csv(canon)
+        a, b = load_gmsc_csv(shuf), load_gmsc_csv(canon)
+        np.testing.assert_array_equal(a.labels, b.labels)
+        np.testing.assert_array_equal(a.raw, b.raw)  # NaN at the same cells too
 
     def test_no_index_column_tolerated(self, tmp_path):
         rows = make_gmsc_rows(4, seed=3)
@@ -103,6 +165,16 @@ class TestLoadCsv:
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             load_gmsc_csv(tmp_path / "absent.csv")
+
+    @pytest.mark.parametrize(
+        "lines, message", list(MALFORMED.values()), ids=list(MALFORMED)
+    )
+    def test_malformed_file_message(self, tmp_path, lines, message):
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as exc:
+            load_gmsc_csv(path)
+        assert str(exc.value) == message
 
 
 class TestPreprocess:

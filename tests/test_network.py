@@ -50,6 +50,18 @@ class TestSilu:
         assert sigmoid(1.3862944) == pytest.approx(0.8, abs=1e-7)
         assert sigmoid(0.0) == 0.5
 
+    def test_sigmoid_equals_two_branch_definition_bit_for_bit(self):
+        x = np.concatenate([
+            np.random.default_rng(0).normal(0.0, 20.0, 4096),
+            [0.0, -0.0, np.inf, -np.inf, np.nan, -800.0, 800.0],
+        ])
+        ref = np.empty_like(x)
+        pos = x >= 0
+        ref[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+        ex = np.exp(x[~pos])
+        ref[~pos] = ex / (1.0 + ex)
+        np.testing.assert_array_equal(sigmoid(x).view(np.uint64), ref.view(np.uint64))
+
 
 class TestEdgeForward:
     def setup_method(self):
