@@ -1,8 +1,15 @@
 """CSV loading, preprocessing, and stratified-split behavior."""
 
+import csv
+import os
+import re
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from kancredit import data
 from kancredit.data import (
     FEATURE_NAMES,
     Dataset,
@@ -14,6 +21,7 @@ from kancredit.data import (
     split,
     write_dataset_csv,
     write_scaler_text,
+    _parse_cell,
 )
 
 from conftest import GMSC_COLUMNS, make_gmsc_rows, write_gmsc_csv
@@ -176,6 +184,104 @@ class TestLoadCsv:
             load_gmsc_csv(path)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize(
+        "lines, message", list(MALFORMED.values()), ids=list(MALFORMED)
+    )
+    def test_malformed_message_from_a_later_block(self, tmp_path, monkeypatch, lines, message):
+        # three good rows, a blank line and a two-line quoted cell fill the
+        # first block; the case's rows start the second, 6 lines further on
+        monkeypatch.setattr(data, "_BLOCK_ROWS", 4)
+        columns = lines[0].split(",")[1:]
+        prefix = [_line(i, columns=columns) for i in (7, 8, 9)]
+        prefix += ["", _line('"multi\nline"', columns=columns)]
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join([lines[0], *prefix, *lines[1:]]) + "\n")
+        with pytest.raises(ValueError) as exc:
+            load_gmsc_csv(path)
+        assert str(exc.value) == re.sub(
+            r"row (\d+)", lambda m: f"row {int(m.group(1)) + 6}", message
+        )
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs a named pipe")
+    def test_malformed_message_from_a_pipe(self, tmp_path):
+        # a rejected block is parsed again, which a pipe cannot seek back to
+        lines, message = MALFORMED["blank-line-before-bad-row"]
+        path = tmp_path / "pipe.csv"
+        os.mkfifo(path)
+        writer = threading.Thread(target=path.write_text, args=("\n".join(lines) + "\n",), daemon=True)
+        writer.start()
+        try:
+            with pytest.raises(ValueError) as exc:
+                load_gmsc_csv(path)
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert str(exc.value) == message
+
+    def test_duplicate_header_column_is_named(self, tmp_path):
+        path = tmp_path / "dup.csv"
+        path.write_text(_HEADER + ",age\n" + _line(1) + ",45\n")
+        with pytest.raises(ValueError) as exc:
+            load_gmsc_csv(path)
+        assert str(exc.value) == "header-mismatch: duplicate columns ['age']"
+
+    def test_header_only_file_is_empty_input(self, tmp_path):
+        path = tmp_path / "header.csv"
+        path.write_text(_HEADER + "\n")
+        table = load_gmsc_csv(path)
+        assert len(table) == 0 and table.raw.shape == (0, 10)
+        with pytest.raises(ValueError, match="empty-input"):
+            preprocess(table)
+
+    def test_blocks_equal_per_cell_parse_bit_for_bit(self, tmp_path, monkeypatch):
+        rows = make_gmsc_rows(40, seed=14)
+        income, dependents = GMSC_COLUMNS.index("MonthlyIncome"), GMSC_COLUMNS.index("NumberOfDependents")
+        odd_optional = [" 12 ", "1_000", " na ", "NULL", "", "NaN", "\xa07\xa0", "\u0661\u0662"]
+        for i, cell in enumerate(odd_optional):
+            rows[i][income] = cell
+            rows[-1 - i][dependents] = cell
+        for i in range(0, 39, 3):
+            rows[i][GMSC_COLUMNS.index("age")] = "-0"
+            rows[i + 1][GMSC_COLUMNS.index("NumberOfTimes90DaysLate")] = "-0"
+            rows[i + 2][GMSC_COLUMNS.index("DebtRatio")] = "-0.0"
+        rows[20][GMSC_COLUMNS.index("age")] = "\u0664\u0665"
+        rows[21][0] = " 1 "
+        rows[22][1] = "\xa00.25"
+        path = tmp_path / "odd.csv"
+        write_gmsc_csv(path, rows)
+        with open(path, newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = [h.strip() for h in next(reader)]
+            cells = [(header.index(name), *spec) for name, *spec in data._COLUMNS]
+            expected = np.array(
+                [[_parse_cell(row[i], *spec, "ref") for i, *spec in cells] for row in reader]
+            )
+        # 40 rows in six blocks, none of them sent to the row-by-row parse
+        monkeypatch.setattr(data, "_BLOCK_ROWS", 7)
+        monkeypatch.setattr(data, "_parse_cell", lambda *args: pytest.fail("block rejected"))
+        table = load_gmsc_csv(path)
+        assert table.labels.tobytes() == expected[:, 0].astype(np.int64).tobytes()
+        assert table.raw.tobytes() == expected[:, 1:].tobytes()  # -0.0 signs included
+        assert np.signbit(table.raw[:, FEATURE_NAMES.index("DebtRatio")]).sum() == 13
+        assert not np.signbit(table.raw[:, FEATURE_NAMES.index("age")]).any()
+
+    def test_peak_memory_is_bounded(self, tmp_path):
+        # 80k rows make a 7 MB table; one Python float per cell peaked near
+        # 36 MB, one block of rows at a time stays near 23 MB
+        small = tmp_path / "small.csv"
+        write_gmsc_csv(small, make_gmsc_rows(1000, seed=15))
+        header, *body = small.read_text().splitlines(keepends=True)
+        path = tmp_path / "big.csv"
+        path.write_text(header + "".join(body) * 80)
+        tracemalloc.start()
+        try:
+            table = load_gmsc_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(table) == 80_000
+        assert peak < 30e6, peak
+
 
 class TestPreprocess:
     def test_totality_and_range(self, gmsc_csv):
@@ -206,6 +312,18 @@ class TestPreprocess:
         span = sc.hi > sc.lo
         np.testing.assert_allclose(out[0][span], -1.0, atol=0)
         np.testing.assert_allclose(out[1][span], 1.0, atol=0)
+
+    def test_scaler_equals_longhand_bit_for_bit(self, gmsc_csv):
+        raw = load_gmsc_csv(gmsc_csv).raw.copy()
+        raw[:, FEATURE_NAMES.index("age")] = 45.0  # a column with zero span
+        sc = Scaler.fit(raw, PreprocessPolicy())
+        filled = np.where(np.isnan(raw), sc.impute, raw)
+        assert sc.lo.tobytes() == np.quantile(filled, 0.01, axis=0).tobytes()
+        assert sc.hi.tobytes() == np.quantile(filled, 0.99, axis=0).tobytes()
+        span = sc.hi - sc.lo
+        with np.errstate(invalid="ignore", divide="ignore"):
+            scaled = -1.0 + 2.0 * (np.clip(filled, sc.lo, sc.hi) - sc.lo) / span
+        assert sc.transform(raw).tobytes() == np.where(span > 0, scaled, 0.0).tobytes()
 
     def test_winsorize_bounds_match_sort_oracle(self, tmp_path):
         rows = make_gmsc_rows(1000, seed=9)
