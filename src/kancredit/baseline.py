@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .network import sigmoid
+from .network import _read_checkpoint, sigmoid
 from .training import AdamState, TrainConfig, _bce_terms, adam_step
 
 __all__ = [
@@ -100,13 +100,12 @@ def save_logistic(model: LogisticModel, path) -> None:
 
 
 def load_logistic(path) -> LogisticModel:
-    payload = json.loads(Path(path).read_text())
-    if payload.get("kind") != _CHECKPOINT_KIND:
-        raise ValueError(
-            f"checkpoint-mismatch: expected kind {_CHECKPOINT_KIND!r}, "
-            f"got {payload.get('kind')!r}"
-        )
-    return LogisticModel(
-        weights=np.asarray(payload["weights"], dtype=np.float64),
-        bias=float(payload["bias"]),
-    )
+    payload = _read_checkpoint(path, _CHECKPOINT_KIND, "logistic")
+    try:
+        weights = np.array(payload["weights"], dtype=np.float64)
+        bias = float(payload["bias"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"checkpoint-mismatch: {path}: missing or malformed entry {exc}") from None
+    if weights.ndim != 1 or not np.isfinite(weights).all() or not np.isfinite(bias):
+        raise ValueError(f"checkpoint-mismatch: {path}: weights must be 1-D and finite, bias finite")
+    return LogisticModel(weights=weights, bias=bias)

@@ -5,6 +5,10 @@ into its output directory. A manifest is itself a valid ``--config`` file, so
 ``kancredit train --config runA/manifest.txt --out runB`` reproduces runA's
 metric files byte-for-byte. Precedence is defaults < config file < flags.
 
+No command writes a file or creates a directory before its inputs are read
+and checked: a run that fails on its data, checkpoint or settings leaves
+``--out`` as it found it.
+
 Exit codes: 0 success, 1 internal error, 2 usage or data error. Data and
 configuration failures print one ``error: <code>: <detail>`` line to stderr,
 where ``<code>`` is the machine-readable prefix carried by the exception.
@@ -32,14 +36,12 @@ from .training import TrainConfig, train
 
 __all__ = ["main"]
 
-GRID_SWEEP = (3, 10, 50, 80)
-LR_SWEEP = (0.1, 0.01, 0.001)
-SWEEP_WIDTH = (10, 1)
-SWEEP_DEGREE = 4
-GRID_SWEEP_LR = 0.1
-GRID_SWEEP_STEPS = 100
-LR_SWEEP_GRID = 10
-LR_SWEEP_STEPS = 200
+# sweep studies: (swept train key, its values, the other train values); each
+# value is one 10,1 degree-4 cell in <out>/<key>_<value>, one row of <key>_sweep.csv
+_SWEEPS = (
+    ("grid", (3, 10, 50, 80), {"lr": 0.1, "steps": 100}),
+    ("lr", (0.1, 0.01, 0.001), {"grid": 10, "steps": 200}),
+)
 
 _NONE_TOKEN = "none"
 
@@ -197,14 +199,10 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_manifest(out_dir: Path, command: str, values: dict) -> None:
-    lines = [f"command={command}"]
-    lines += [f"{name}={_fmt(values[name])}" for name in sorted(values)]
-    (out_dir / "manifest.txt").write_text("\n".join(lines) + "\n")
-
-
-def _write_kv(path: Path, mapping: dict) -> None:
-    lines = [f"{name}={_fmt(mapping[name])}" for name in sorted(mapping)]
+def _write_kv(path: Path, mapping: dict, command: str | None = None) -> None:
+    """``key=value`` lines in key order; a manifest leads with ``command=<name>``."""
+    lines = [] if command is None else [f"command={command}"]
+    lines += [f"{name}={_fmt(mapping[name])}" for name in sorted(mapping)]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -228,28 +226,47 @@ def _load_split(values):
     return split(preprocess(table), values["test_fraction"], values["seed"])
 
 
-def _pick(train_ds, test_ds, name):
-    return train_ds if name == "train" else test_ds
+def _scored_split(values):
+    """The split that ``--on`` names, rebuilt from the CSV, seed and fraction."""
+    train_ds, test_ds = _load_split(values)
+    return train_ds if values["on"] == "train" else test_ds
 
 
-def _metric_report(net, dataset, threshold=0.5):
+def _out_dir(values) -> Path:
+    """Create ``--out``; called just before a command's first write."""
+    out = Path(values["out"])
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
+def _emit(command: str, values, name: str, text: str) -> int:
+    """Write ``text`` to stdout, or with a manifest to ``<out>/<name>``."""
+    if values["out"] is None:
+        sys.stdout.write(text)
+        return 0
+    out = _out_dir(values)
+    (out / name).write_text(text)
+    _write_kv(out / "manifest.txt", values, command)
+    print(f"{command}: wrote {out / name}")
+    return 0
+
+
+def _metric_report(net, dataset, split_name, threshold=0.5):
+    """The metrics of ``dataset`` tagged with its split name, and its probabilities."""
     probs = network_probabilities(net, dataset.features)
-    return classification_report(probs, dataset.labels, threshold=threshold), probs
+    metrics = classification_report(probs, dataset.labels, threshold=threshold)
+    metrics["split"] = split_name
+    return metrics, probs
 
 
 def _check_against_checkpoint(net, values):
     """Optional width/grid/k flags must agree with the loaded model."""
-    stated = {
-        "width": values.get("width"),
-        "grid": values.get("grid"),
-        "k": values.get("k"),
-    }
     actual = {"width": tuple(net.widths), "grid": net.grid_count, "k": net.degree}
-    for name, want in stated.items():
-        if want is not None and want != actual[name]:
+    for name, have in actual.items():
+        if values[name] not in (None, have):
             raise ValueError(
-                f"checkpoint-mismatch: {name} flag {want} disagrees with "
-                f"checkpoint value {actual[name]}"
+                f"checkpoint-mismatch: {name} flag {values[name]} disagrees with "
+                f"checkpoint value {have}"
             )
     values.update(actual)
 
@@ -273,36 +290,29 @@ def _train_config(values) -> TrainConfig:
 
 def cmd_train(ns) -> int:
     values = _resolve("train", ns)
-    out = Path(values["out"])
-    out.mkdir(parents=True, exist_ok=True)
     train_ds, test_ds = _load_split(values)
-    cfg = _train_config(values)
-    net, report = train(train_ds, cfg)
+    net, report = train(train_ds, _train_config(values))
+    out = _out_dir(values)
     save_network(net, out / "model.json")
     _write_csv(
         out / "loss.csv",
         ("step", "loss"),
         [(t + 1, loss) for t, loss in enumerate(report.loss_history)],
     )
-    test_metrics = None
     for name, ds in (("train", train_ds), ("test", test_ds)):
-        metrics, _ = _metric_report(net, ds)
-        metrics["split"] = name
+        metrics, _ = _metric_report(net, ds, name)
         _write_kv(out / f"metrics_{name}.txt", metrics)
-        if name == "test":
-            test_metrics = metrics
     if values["dump_data"]:
         write_dataset_csv(train_ds, out / "data_train.csv")
         write_dataset_csv(test_ds, out / "data_test.csv")
         write_scaler_text(train_ds.scaler, train_ds.feature_names, out / "scaler.txt")
-    _write_manifest(out, "train", values)
-
     print(
-        f"train: steps={cfg.steps} final_loss={float(report.loss_history[-1])!r} "
-        f"test_roc_auc={test_metrics['roc_auc']!r} "
-        f"test_f1_class0={test_metrics['class0_f1']!r} "
+        f"train: steps={values['steps']} final_loss={float(report.loss_history[-1])!r} "
+        f"test_roc_auc={metrics['roc_auc']!r} "
+        f"test_f1_class0={metrics['class0_f1']!r} "
         f"seconds={report.seconds:.2f}"
     )
+    _write_kv(out / "manifest.txt", values, "train")
     print(f"train: wrote {out / 'model.json'}")
     return 0
 
@@ -311,19 +321,16 @@ def cmd_eval(ns) -> int:
     values = _resolve("eval", ns)
     net = load_network(values["model"])
     _check_against_checkpoint(net, values)
-    out = Path(values["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    train_ds, test_ds = _load_split(values)
-    dataset = _pick(train_ds, test_ds, values["on"])
-    metrics, probs = _metric_report(net, dataset, threshold=values["threshold"])
-    metrics["split"] = values["on"]
+    dataset = _scored_split(values)
+    metrics, probs = _metric_report(net, dataset, values["on"], values["threshold"])
+    out = _out_dir(values)
     _write_kv(out / "metrics.txt", metrics)
     _write_csv(
         out / "roc.csv",
         ("fpr", "tpr", "threshold"),
         [(pt.fpr, pt.tpr, pt.threshold) for pt in roc_curve(probs, dataset.labels)],
     )
-    _write_manifest(out, "eval", values)
+    _write_kv(out / "manifest.txt", values, "eval")
     print(f"eval: split={values['on']} n={metrics['n_samples']}")
     print(f"eval: roc_auc={metrics['roc_auc']!r}")
     for cls in (0, 1):
@@ -337,16 +344,13 @@ def cmd_eval(ns) -> int:
 def cmd_explain(ns) -> int:
     values = _resolve("explain", ns)
     net = load_network(values["model"])
-    train_ds, test_ds = _load_split(values)
-    dataset = _pick(train_ds, test_ds, values["on"])
-    # everything that can reject the input runs before the first write
+    dataset = _scored_split(values)
     i = values["sample"]
     if i is not None and not 0 <= i < len(dataset.features):
         raise ValueError(f"index-out-of-range: sample {i} outside [0, {len(dataset.features)})")
     scores = edge_scores(net, dataset)
     curves = sample_activation_curves(net, values["points"])
-    out = Path(values["out"])
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(values)
 
     raw, normalized, ranking = propagate_scores(scores)
     ids = [f"x{p}" for p in range(net.widths[0])]
@@ -367,9 +371,9 @@ def cmd_explain(ns) -> int:
         )
         (out / "sample_path.txt").write_text(decision_path_text(path) + "\n")
         print(f"explain: sample={i} logit={path.logit!r}")
-    _write_manifest(out, "explain", values)
     top = ", ".join(ids[p] for p in ranking[:3])
     print(f"explain: top features {top}")
+    _write_kv(out / "manifest.txt", values, "explain")
     print(f"explain: wrote {out / 'attribution.csv'}")
     return 0
 
@@ -380,45 +384,39 @@ def _sweep_cell(values, train_ds, test_ds):
     The cell manifest is a complete `train` manifest, so any cell can be
     reproduced standalone with `kancredit train --config <cell>/manifest.txt`.
     """
-    cell_dir = Path(values["out"])
-    cell_dir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
     net, _ = train(train_ds, _train_config(values))
     seconds = time.perf_counter() - started
+    cell_dir = _out_dir(values)
     save_network(net, cell_dir / "model.json")
-    metrics, _ = _metric_report(net, test_ds)
-    metrics["split"] = "test"
+    metrics, _ = _metric_report(net, test_ds, "test")
     _write_kv(cell_dir / "metrics.txt", metrics)
-    _write_manifest(cell_dir, "train", values)
+    _write_kv(cell_dir / "manifest.txt", values, "train")
     return metrics["roc_auc"], metrics["class0_f1"], seconds
 
 
 def cmd_sweep(ns) -> int:
     values = _resolve("sweep", ns)
-    out = Path(values["out"])
-    out.mkdir(parents=True, exist_ok=True)
     train_ds, test_ds = _load_split(values)
-
+    out = Path(values["out"])
     base = {k.name: k.default for k in _KEYS["train"]} | {
         "data": values["data"],
-        "width": SWEEP_WIDTH,
-        "k": SWEEP_DEGREE,
+        "width": (10, 1),
+        "k": 4,
         "seed": values["seed"],
         "test_fraction": values["test_fraction"],
     }
     cells = [
-        base | {"out": str(out / f"grid_{g}"), "grid": g, "lr": GRID_SWEEP_LR,
-                "steps": GRID_SWEEP_STEPS}
-        for g in GRID_SWEEP
-    ] + [
-        base | {"out": str(out / f"lr_{_fmt(lr)}"), "grid": LR_SWEEP_GRID, "lr": lr,
-                "steps": LR_SWEEP_STEPS}
-        for lr in LR_SWEEP
+        base | others | {key: v, "out": str(out / f"{key}_{_fmt(v)}")}
+        for key, swept, others in _SWEEPS
+        for v in swept
     ]
 
     def run(cell):
         return _sweep_cell(cell, train_ds, test_ds)
 
+    # a pool's shutdown waits for every submitted cell, so Ctrl-C in a
+    # --parallel 1 sweep stops at once only through the plain loop
     workers = max(1, values["parallel"])
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -426,16 +424,12 @@ def cmd_sweep(ns) -> int:
     else:
         results = [run(cell) for cell in cells]
 
-    grid_rows = [
-        (g, auc, f1, f"{sec:.3f}")
-        for g, (auc, f1, sec) in zip(GRID_SWEEP, results[: len(GRID_SWEEP)])
-    ]
-    lr_rows = [
-        (lr, auc, f1, f"{sec:.3f}")
-        for lr, (auc, f1, sec) in zip(LR_SWEEP, results[len(GRID_SWEEP) :])
-    ]
-    _write_csv(out / "grid_sweep.csv", ("grid", "roc_auc", "f1", "seconds"), grid_rows)
-    _write_csv(out / "lr_sweep.csv", ("lr", "roc_auc", "f1", "seconds"), lr_rows)
+    results = iter(results)
+    for key, swept, _ in _SWEEPS:
+        rows = [(v, auc, f1, f"{sec:.3f}") for v, (auc, f1, sec) in zip(swept, results)]
+        _write_csv(out / f"{key}_sweep.csv", (key, "roc_auc", "f1", "seconds"), rows)
+        for v, auc, f1, _ in rows:
+            print(f"sweep: {key}={_fmt(v)} roc_auc={auc!r} f1={f1!r}")
 
     reference = [
         "# Externally published GMSC benchmark results, recorded for context.",
@@ -457,46 +451,22 @@ def cmd_sweep(ns) -> int:
         "reference.lbfgs_grid10.seconds=143.15",
     ]
     (out / "reference.txt").write_text("\n".join(reference) + "\n")
-    _write_manifest(out, "sweep", values)
-
-    for row in grid_rows:
-        print(f"sweep: grid={row[0]} roc_auc={row[1]!r} f1={row[2]!r}")
-    for row in lr_rows:
-        print(f"sweep: lr={row[0]!r} roc_auc={row[1]!r} f1={row[2]!r}")
+    _write_kv(out / "manifest.txt", values, "sweep")
     return 0
 
 
 def cmd_export_dot(ns) -> int:
     values = _resolve("export-dot", ns)
     net = load_network(values["model"])
-    train_ds, test_ds = _load_split(values)
-    dataset = _pick(train_ds, test_ds, values["on"])
-    dot = export_dot(net, edge_scores(net, dataset))
-    if values["out"] is None:
-        sys.stdout.write(dot)
-        return 0
-    out = Path(values["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "structure.dot").write_text(dot)
-    _write_manifest(out, "export-dot", values)
-    print(f"export-dot: wrote {out / 'structure.dot'}")
-    return 0
+    dot = export_dot(net, edge_scores(net, _scored_split(values)))
+    return _emit("export-dot", values, "structure.dot", dot)
 
 
 def cmd_curves(ns) -> int:
     values = _resolve("curves", ns)
     net = load_network(values["model"])
     rows = sample_activation_curves(net, values["points"])
-    header = ("layer", "q", "p", "x", "phi")
-    if values["out"] is None:
-        sys.stdout.write(_csv_text(header, rows))
-        return 0
-    out = Path(values["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    _write_csv(out / "curves.csv", header, rows)
-    _write_manifest(out, "curves", values)
-    print(f"curves: wrote {out / 'curves.csv'}")
-    return 0
+    return _emit("curves", values, "curves.csv", _csv_text(("layer", "q", "p", "x", "phi"), rows))
 
 
 # ---------------------------------------------------------------------------

@@ -317,17 +317,23 @@ def save_network(net: KanNetwork, path) -> None:
         fh.write("\n")
 
 
-def load_network(path) -> KanNetwork:
+def _read_checkpoint(path, kind: str, noun: str) -> dict:
+    """The JSON object of a version-1 checkpoint of ``kind``, else a coded error."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             payload = json.load(fh)
     except ValueError as exc:  # not JSON, or not text
         raise ValueError(f"checkpoint-mismatch: {path} is not JSON: {exc}") from None
-    if not isinstance(payload, dict) or payload.get("kind") != "kan-network":
-        raise ValueError(f"checkpoint-mismatch: not a network checkpoint: {path}")
+    if not isinstance(payload, dict) or payload.get("kind") != kind:
+        raise ValueError(f"checkpoint-mismatch: not a {noun} checkpoint: {path}")
     version = payload.get("version")
     if type(version) is not int or version != 1:
         raise ValueError(f"checkpoint-mismatch: {path}: version {version!r}, expected 1")
+    return payload
+
+
+def load_network(path) -> KanNetwork:
+    payload = _read_checkpoint(path, "kan-network", "network")
     try:
         widths = [int(w) for w in payload["widths"]]
         grid_count, degree, seed = (int(payload[k]) for k in ("grid_count", "degree", "seed"))
@@ -335,6 +341,8 @@ def load_network(path) -> KanNetwork:
         params = np.array(payload["params"], dtype=np.float64)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"checkpoint-mismatch: {path}: missing or malformed entry {exc}") from None
+    if not (np.isfinite(params).all() and np.isfinite([range_min, range_max]).all()):
+        raise ValueError(f"checkpoint-mismatch: {path}: non-finite parameter or grid range")
     net = _zero_network(widths, grid_count, degree, seed, range_min, range_max)
     set_params(net, params)
     return net

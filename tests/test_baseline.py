@@ -1,5 +1,7 @@
 """Logistic baseline: training behaviour, prediction identity, checkpoints."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,13 @@ from kancredit.metrics import roc_auc
 
 def manual_sigmoid(z):
     return 1.0 / (1.0 + np.exp(-z))
+
+
+def checkpoint_text(**entries):
+    """A logistic checkpoint's JSON with ``entries`` replaced; None drops one."""
+    payload = {"kind": "logistic-model", "version": 1, "weights": [0.5, -1.0], "bias": 0.25}
+    payload |= entries
+    return json.dumps({k: v for k, v in payload.items() if v is not None})
 
 
 class TestTrainLogistic:
@@ -87,4 +96,23 @@ class TestCheckpoint:
         path = tmp_path / "wrong.json"
         path.write_text('{"kind": "kan-network", "version": 1}')
         with pytest.raises(ValueError, match="checkpoint-mismatch"):
+            load_logistic(path)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param('{"kind": "logistic', id="not-json"),
+            pytest.param("[1, 2]", id="list"),
+            pytest.param(checkpoint_text(weights=None), id="no-weights"),
+            pytest.param(checkpoint_text(bias="a"), id="text-bias"),
+            pytest.param(checkpoint_text(version=7), id="version-7"),
+            pytest.param(checkpoint_text(weights=[[0.5], [-1.0]]), id="2d-weights"),
+            pytest.param(checkpoint_text(weights=[0.5, float("nan")]), id="nan-weight"),
+            pytest.param(checkpoint_text(bias=float("inf")), id="inf-bias"),
+        ],
+    )
+    def test_broken_checkpoint_is_coded(self, text, tmp_path):
+        path = tmp_path / "broken.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="^checkpoint-mismatch: "):
             load_logistic(path)

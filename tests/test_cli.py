@@ -1,5 +1,7 @@
 """End-to-end CLI behaviour on synthetic data: exit codes, artifacts, reruns."""
 
+import contextlib
+import io
 import json
 import re
 
@@ -180,7 +182,10 @@ class TestEval:
         assert rc == 2
         assert "checkpoint-mismatch" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("broken", ["missing-params", "null-grid", "text-param", "not-json"])
+    @pytest.mark.parametrize(
+        "broken",
+        ["missing-params", "null-grid", "text-param", "not-json", "nan-param", "inf-range"],
+    )
     def test_broken_checkpoint_is_coded(self, broken, trained_run, data_csv, tmp_path, capsys):
         text = (trained_run / "model.json").read_text()
         if broken == "not-json":
@@ -191,6 +196,10 @@ class TestEval:
                 del payload["params"]
             elif broken == "null-grid":
                 payload["grid_count"] = None
+            elif broken == "nan-param":
+                payload["params"][3] = float("nan")
+            elif broken == "inf-range":
+                payload["range_max"] = float("inf")
             else:
                 payload["params"][3] = "a"
             text = json.dumps(payload)
@@ -286,13 +295,20 @@ class TestExplain:
 
 
 @pytest.fixture(scope="module")
-def sweep_dir(tmp_path_factory):
+def sweep_run(tmp_path_factory):
+    """One sweep's output directory and its stdout."""
     path = tmp_path_factory.mktemp("sweep") / "small.csv"
     write_gmsc_csv(path, make_gmsc_rows(120, seed=3))
     out = tmp_path_factory.mktemp("sweep") / "out"
-    rc = main(["sweep", "--data", str(path), "--out", str(out)])
+    with contextlib.redirect_stdout(io.StringIO()) as stdout:
+        rc = main(["sweep", "--data", str(path), "--out", str(out)])
     assert rc == 0
-    return out
+    return out, stdout.getvalue()
+
+
+@pytest.fixture
+def sweep_dir(sweep_run):
+    return sweep_run[0]
 
 
 class TestSweep:
@@ -316,6 +332,27 @@ class TestSweep:
         assert (sweep_dir / "manifest.txt").exists()
         for name in ("grid_3", "grid_10", "grid_50", "grid_80", "lr_0.1", "lr_0.01", "lr_0.001"):
             assert (sweep_dir / name / "model.json").exists(), name
+
+    def test_stdout_cells_and_csv_rows_agree(self, sweep_run):
+        out, stdout = sweep_run
+        cells = ["grid_3", "grid_10", "grid_50", "grid_80", "lr_0.1", "lr_0.01", "lr_0.001"]
+        assert sorted(p.name for p in out.iterdir() if p.is_dir()) == sorted(cells)
+        printed = [
+            re.fullmatch(r"sweep: (\w+)=(\S+) roc_auc=(\S+) f1=(\S+)", line).groups()
+            for line in stdout.splitlines()
+        ]
+        assert [f"{key}_{value}" for key, value, _, _ in printed] == cells
+        rows = [
+            line.split(",")
+            for name in ("grid_sweep.csv", "lr_sweep.csv")
+            for line in (out / name).read_text().splitlines()[1:]
+        ]
+        assert len(rows) == len(cells)
+        for cell, (_, _, auc, f1), row in zip(cells, printed, rows):
+            metrics = dict(
+                line.split("=", 1) for line in (out / cell / "metrics.txt").read_text().splitlines()
+            )
+            assert row[1:3] == [auc, f1] == [metrics["roc_auc"], metrics["class0_f1"]], cell
 
 
 class TestExportCommands:
@@ -356,6 +393,26 @@ class TestExportCommands:
         rc = main(["curves", "--model", str(tmp_path / "none.json")])
         assert rc == 2
         assert "io-error" in capsys.readouterr().err
+
+
+class TestNoOutputOnBadInput:
+    @pytest.mark.parametrize("command", ["train", "eval", "sweep", "explain", "export-dot"])
+    def test_malformed_csv_leaves_no_out_dir(self, command, trained_run, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("a,b\n1,2\n")
+        model = [] if command in ("train", "sweep") else ["--model", str(trained_run / "model.json")]
+        out = tmp_path / "out"
+        rc = main([command, *model, "--data", str(bad), "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: header-mismatch: ")
+        assert not out.exists()
+
+    def test_rejected_learning_rate_leaves_no_out_dir(self, data_csv, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = main(["train", "--data", str(data_csv), "--out", str(out), "--lr", "-1"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: invalid-config: ")
+        assert not out.exists()
 
 
 class TestUsageErrors:

@@ -1,11 +1,15 @@
 """Forward-pass semantics: edges, layers, composition, checkpoints."""
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import kancredit.explain as kexplain
 import kancredit.network as knet
+import kancredit.training as ktraining
+from kancredit.explain import edge_scores
 from kancredit.network import (
     init_network,
     silu,
@@ -23,6 +27,7 @@ from kancredit.network import (
     load_network,
 )
 from kancredit.splines import make_knot_vector, SplineParams
+from kancredit.training import backward
 from kancredit.network import ActivationEdge
 
 
@@ -347,6 +352,23 @@ class TestBatchEvaluation:
         full = network_logits(net, X)
         monkeypatch.setattr(knet, "CHUNK", 7)
         np.testing.assert_array_equal(network_logits(net, X), full)
+
+    def test_chunked_backward_and_edge_scores_match_one_chunk(self, monkeypatch):
+        net = init_network([3, 2, 1], 5, 3, seed=2)
+        rng = np.random.default_rng(6)
+        set_params(net, rng.normal(0, 0.5, parameter_count(net)))
+        X = rng.uniform(-1.2, 1.2, size=(23, 3))
+        y = (rng.random(23) < 0.4).astype(np.float64)
+        data = SimpleNamespace(features=X)
+        loss, grad = backward(net, X, y)
+        scores = edge_scores(net, data).per_layer
+        for module in (knet, ktraining, kexplain):
+            monkeypatch.setattr(module, "CHUNK", 7)
+        chunked_loss, chunked_grad = backward(net, X, y)
+        assert chunked_loss == pytest.approx(loss, rel=1e-12, abs=0)
+        np.testing.assert_allclose(chunked_grad, grad, rtol=1e-12, atol=0)
+        for got, want in zip(edge_scores(net, data).per_layer, scores):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
     def test_probabilities(self):
         net = init_network([4, 1], 5, 3, seed=1)
