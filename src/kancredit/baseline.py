@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .network import _read_checkpoint, sigmoid
+from .network import _entry, _read_checkpoint, sigmoid
 from .training import AdamState, TrainConfig, _bce_terms, adam_step
 
 __all__ = [
@@ -71,13 +71,13 @@ def train_logistic(dataset, learning_rate: float = 0.1, steps: int = 100, seed: 
 
 
 def logistic_predict(model: LogisticModel, x) -> float:
-    """Default probability for one sample."""
+    """Default probability for one sample: a batch of one."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (model.n_features,):
         raise ValueError(
             f"dimension-mismatch: expected {model.n_features} features, got shape {x.shape}"
         )
-    return float(sigmoid(float(np.dot(model.weights, x)) + model.bias))
+    return float(logistic_probabilities(model, x[None, :])[0])
 
 
 def logistic_probabilities(model: LogisticModel, features) -> np.ndarray:
@@ -101,11 +101,5 @@ def save_logistic(model: LogisticModel, path) -> None:
 
 def load_logistic(path) -> LogisticModel:
     payload = _read_checkpoint(path, _CHECKPOINT_KIND, "logistic")
-    try:
-        weights = np.array(payload["weights"], dtype=np.float64)
-        bias = float(payload["bias"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"checkpoint-mismatch: {path}: missing or malformed entry {exc}") from None
-    if weights.ndim != 1 or not np.isfinite(weights).all() or not np.isfinite(bias):
-        raise ValueError(f"checkpoint-mismatch: {path}: weights must be 1-D and finite, bias finite")
-    return LogisticModel(weights=weights, bias=bias)
+    weights = _entry(payload, path, "weights", float, many=True)
+    return LogisticModel(weights=weights, bias=_entry(payload, path, "bias", float))

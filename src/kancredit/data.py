@@ -110,7 +110,8 @@ class Scaler:
         observed = observed[~np.isnan(observed)]
         impute[income_col] = float(np.median(observed)) if observed.size else 0.0
         filled = np.where(np.isnan(raw), impute[None, :], raw)
-        lo, hi = np.quantile(filled, [policy.lower_quantile, policy.upper_quantile], axis=0)
+        qs = [policy.lower_quantile, policy.upper_quantile]
+        lo, hi = np.quantile(filled, qs, axis=0, overwrite_input=True)  # filled is our own copy
         return cls(impute=impute, lo=lo, hi=hi)
 
     def transform(self, raw: np.ndarray) -> np.ndarray:
@@ -278,22 +279,24 @@ def split(dataset: Dataset, test_fraction: float, seed: int):
 
     if dataset.raw is not None:
         policy = dataset.policy or PreprocessPolicy()
-        scaler = Scaler.fit(dataset.raw[train_idx], policy)
-        make = lambda idx: Dataset(
-            features=scaler.transform(dataset.raw[idx]),
+        raw_train = dataset.raw[train_idx]
+        scaler = Scaler.fit(raw_train, policy)
+        make = lambda idx, raw: Dataset(
+            features=scaler.transform(raw),
             labels=labels[idx],
             feature_names=dataset.feature_names,
             scaler=scaler,
-            raw=dataset.raw[idx],
+            raw=raw,
             policy=policy,
         )
-    else:
-        make = lambda idx: Dataset(
-            features=dataset.features[idx],
-            labels=labels[idx],
-            feature_names=dataset.feature_names,
-            scaler=dataset.scaler,
-        )
+        # the test rows are gathered after the training part is built, off its peak
+        return make(train_idx, raw_train), make(test_idx, dataset.raw[test_idx])
+    make = lambda idx: Dataset(
+        features=dataset.features[idx],
+        labels=labels[idx],
+        feature_names=dataset.feature_names,
+        scaler=dataset.scaler,
+    )
     return make(train_idx), make(test_idx)
 
 

@@ -1,11 +1,16 @@
 """Binary classification metrics: confusion counts, F1, ROC curve, ROC_AUC.
 
-ROC_AUC uses the Mann-Whitney rank formulation with midrank tie handling,
-which is O(n log n) and agrees exactly (not just approximately) with the
-O(P*N) pairwise win count, because midranks of float scores are exact
-half-integers.  The dataset is heavily imbalanced, so confusion counts are
-parametrised by the positive class; the headline F1 convention lives in
-the CLI, not here.
+The ROC curve and ROC_AUC share one ranking: the scores sorted descending
+once and cut into blocks of equal scores, with the cumulative true and false
+positive counts after each block.  ROC_AUC is the trapezoid area under those
+points.  A block with ``fp_b`` negatives and ``tp_b`` positives adds
+``fp_b * (tp_prev + tp_prev + tp_b) / 2``: ``fp_b * tp_prev`` pairs whose
+positive outscores the negative, plus half of the ``fp_b * tp_b`` tied
+pairs.  Summed over the blocks that is exactly the pairwise win count with
+ties at 1/2.  Twice the area is an integer, so it is summed exactly in int64
+and rounded once, by the division by ``2 * n_pos * n_neg``.  The dataset is
+heavily imbalanced, so confusion counts are parametrised by the positive
+class; the headline F1 convention lives in the CLI, not here.
 """
 
 from __future__ import annotations
@@ -91,53 +96,45 @@ def precision_recall_f1(c: ConfusionCounts):
     return precision, recall, f1
 
 
-def _tie_blocks(sorted_vals: np.ndarray):
-    """(starts, ends) of the runs of equal values in a sorted array, ends exclusive.
+def _roc_blocks(scores, labels):
+    """The ranking behind the ROC: scores sorted descending, in blocks of equal scores.
 
-    Neighbours are compared with ``!=`` rather than differenced, so equal
-    infinities stay one block.
+    Returns ``(tp, fp, first, n_pos, n_neg)``: the cumulative true and false
+    positive counts after each block, each block's first score in the
+    stable order (so a block of zeros keeps the sign its first member has)
+    and the class sizes.  Neighbours are compared with ``!=`` rather than
+    differenced, so equal infinities stay one block.
     """
-    change = np.flatnonzero(sorted_vals[1:] != sorted_vals[:-1]) + 1
-    return np.concatenate(([0], change)), np.concatenate((change, [sorted_vals.size]))
-
-
-def _midranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties sharing the mean rank of their block."""
-    order = np.argsort(values, kind="stable")
-    starts, ends = _tie_blocks(values[order])
-    ranks = np.empty(values.size, dtype=np.float64)
-    ranks[order] = np.repeat(0.5 * (starts + ends - 1) + 1.0, ends - starts)
-    return ranks
-
-
-def roc_auc(scores, labels) -> float:
-    """Probability a random positive outranks a random negative, ties at 1/2."""
     s, y = _check_pair(scores, labels)
-    n_pos = int(np.sum(y == 1))
-    n_neg = y.size - n_pos
-    if n_pos == 0 or n_neg == 0:
-        raise ValueError("single-class-input: ROC needs both classes")
-    ranks = _midranks(s)
-    rank_sum = float(np.sum(ranks[y == 1]))
-    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
-
-
-def roc_curve(scores, labels) -> list:
-    """RocPoint list: (0,0) first, one point per distinct score, descending."""
-    s, y = _check_pair(scores, labels)
-    n_pos = int(np.sum(y == 1))
+    if np.isnan(s).any():
+        raise ValueError("invalid-score: scores must not be NaN")
+    n_pos = int(np.sum(y))
     n_neg = y.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("single-class-input: ROC needs both classes")
     order = np.argsort(-s, kind="stable")
     s_sorted = s[order]
-    starts, ends = _tie_blocks(s_sorted)
+    ends = np.append(np.flatnonzero(s_sorted[1:] != s_sorted[:-1]) + 1, s.size)
     tp = np.cumsum(y[order])[ends - 1]
-    fp = ends - tp
+    first = s_sorted[np.concatenate(([0], ends[:-1]))]
+    return tp, ends - tp, first, n_pos, n_neg
+
+
+def roc_auc(scores, labels) -> float:
+    """Probability a random positive outranks a random negative, ties at 1/2."""
+    tp, fp, _, n_pos, n_neg = _roc_blocks(scores, labels)
+    tp_prev = np.concatenate(([0], tp[:-1]))
+    twice_area = int(np.sum(np.diff(fp, prepend=0) * (tp + tp_prev)))
+    return twice_area / (2 * n_pos * n_neg)
+
+
+def roc_curve(scores, labels) -> list:
+    """RocPoint list: (0,0) first, one point per distinct score, descending."""
+    tp, fp, first, n_pos, n_neg = _roc_blocks(scores, labels)
     points = [RocPoint(0.0, 0.0, float("inf"))]
     points += [
         RocPoint(f / n_neg, t / n_pos, v)
-        for f, t, v in zip(fp.tolist(), tp.tolist(), s_sorted[starts].tolist())
+        for f, t, v in zip(fp.tolist(), tp.tolist(), first.tolist())
     ]
     return points
 

@@ -332,17 +332,37 @@ def _read_checkpoint(path, kind: str, noun: str) -> dict:
     return payload
 
 
+def _entry(payload: dict, path, key: str, kind: type, many: bool = False):
+    """``payload[key]`` as a JSON number of ``kind``, or with ``many`` a list of them.
+
+    An int entry must be a JSON integer.  A float entry may be any JSON
+    number but must be finite, and comes back as a float (a float64 array
+    with ``many``).  Strings and bools are refused: the types are compared
+    exactly because ``json`` reads ``true`` as a bool, an int subclass.
+    Anything else is a coded error.
+    """
+    value = payload.get(key)
+    items = value if many and isinstance(value, list) else [value]
+    allowed = (int,) if kind is int else (int, float)
+    if isinstance(value, list) == many and all(type(v) in allowed for v in items):
+        if kind is int:
+            return value
+        try:
+            number = np.array(value, dtype=np.float64)
+        except OverflowError:  # a JSON integer beyond the float range
+            number = np.array(np.inf)
+        if np.isfinite(number).all():
+            return number if many else float(number)
+    what = "JSON integer" if kind is int else "finite JSON number"
+    what = f"a list of {what}s" if many else f"a {what}"
+    raise ValueError(f"checkpoint-mismatch: {path}: {key} must be {what}")
+
+
 def load_network(path) -> KanNetwork:
     payload = _read_checkpoint(path, "kan-network", "network")
-    try:
-        widths = [int(w) for w in payload["widths"]]
-        grid_count, degree, seed = (int(payload[k]) for k in ("grid_count", "degree", "seed"))
-        range_min, range_max = float(payload["range_min"]), float(payload["range_max"])
-        params = np.array(payload["params"], dtype=np.float64)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"checkpoint-mismatch: {path}: missing or malformed entry {exc}") from None
-    if not (np.isfinite(params).all() and np.isfinite([range_min, range_max]).all()):
-        raise ValueError(f"checkpoint-mismatch: {path}: non-finite parameter or grid range")
+    widths = _entry(payload, path, "widths", int, many=True)
+    grid_count, degree, seed = (_entry(payload, path, k, int) for k in ("grid_count", "degree", "seed"))
+    range_min, range_max = (_entry(payload, path, k, float) for k in ("range_min", "range_max"))
     net = _zero_network(widths, grid_count, degree, seed, range_min, range_max)
-    set_params(net, params)
+    set_params(net, _entry(payload, path, "params", float, many=True))
     return net

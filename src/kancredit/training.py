@@ -90,7 +90,6 @@ class TrainConfig:
 class TrainReport:
     loss_history: np.ndarray
     seconds: float
-    checkpoint_path: str | None = None
 
 
 @dataclass

@@ -75,6 +75,17 @@ class TestPredict:
         )
         assert logistic_predict(model, feats[0]) == pytest.approx(expected[0], abs=1e-12)
 
+    def test_single_sample_is_a_batch_of_one(self):
+        rng = np.random.default_rng(2)
+        for _ in range(500):
+            d = int(rng.integers(1, 41))
+            scale = 10.0 ** int(rng.integers(-3, 3))
+            model = LogisticModel(weights=rng.normal(size=d) * scale, bias=float(rng.normal() * scale))
+            x = rng.normal(size=d) * scale
+            p = logistic_predict(model, x)
+            assert type(p) is float
+            assert p == logistic_probabilities(model, x[None, :])[0]
+
     def test_dimension_mismatch(self):
         model = LogisticModel(weights=np.zeros(3), bias=0.0)
         with pytest.raises(ValueError, match="dimension-mismatch"):
@@ -91,6 +102,14 @@ class TestCheckpoint:
         loaded = load_logistic(path)
         np.testing.assert_array_equal(loaded.weights, model.weights)
         assert loaded.bias == model.bias
+
+    def test_json_integers_load_as_floats(self, tmp_path):
+        path = tmp_path / "ints.json"
+        path.write_text(checkpoint_text(weights=[1, -2], bias=3))
+        loaded = load_logistic(path)
+        assert loaded.weights.dtype == np.float64
+        np.testing.assert_array_equal(loaded.weights, [1.0, -2.0])
+        assert type(loaded.bias) is float and loaded.bias == 3.0
 
     def test_kind_mismatch(self, tmp_path):
         path = tmp_path / "wrong.json"
@@ -109,6 +128,11 @@ class TestCheckpoint:
             pytest.param(checkpoint_text(weights=[[0.5], [-1.0]]), id="2d-weights"),
             pytest.param(checkpoint_text(weights=[0.5, float("nan")]), id="nan-weight"),
             pytest.param(checkpoint_text(bias=float("inf")), id="inf-bias"),
+            pytest.param(checkpoint_text(bias="0.25"), id="numeric-text-bias"),
+            pytest.param(checkpoint_text(bias=True), id="bool-bias"),
+            pytest.param(checkpoint_text(weights=["1", True, 2]), id="text-and-bool-weights"),
+            pytest.param(checkpoint_text(weights=0.5), id="scalar-weights"),
+            pytest.param(checkpoint_text(bias=10**400), id="huge-int-bias"),
         ],
     )
     def test_broken_checkpoint_is_coded(self, text, tmp_path):

@@ -184,7 +184,11 @@ class TestEval:
 
     @pytest.mark.parametrize(
         "broken",
-        ["missing-params", "null-grid", "text-param", "not-json", "nan-param", "inf-range"],
+        [
+            "missing-params", "null-grid", "text-param", "not-json", "nan-param", "inf-range",
+            "numeric-text-grid", "numeric-text-param", "text-and-bool-widths", "float-seed",
+            "bool-degree",
+        ],
     )
     def test_broken_checkpoint_is_coded(self, broken, trained_run, data_csv, tmp_path, capsys):
         text = (trained_run / "model.json").read_text()
@@ -200,6 +204,16 @@ class TestEval:
                 payload["params"][3] = float("nan")
             elif broken == "inf-range":
                 payload["range_max"] = float("inf")
+            elif broken == "numeric-text-grid":
+                payload["grid_count"] = str(payload["grid_count"])
+            elif broken == "numeric-text-param":
+                payload["params"][3] = str(payload["params"][3])
+            elif broken == "text-and-bool-widths":
+                payload["widths"] = ["10", True]
+            elif broken == "float-seed":
+                payload["seed"] = payload["seed"] + 0.9
+            elif broken == "bool-degree":
+                payload["degree"] = True
             else:
                 payload["params"][3] = "a"
             text = json.dumps(payload)

@@ -124,9 +124,7 @@ class TestRocAuc:
             labels = rng.integers(0, 2, n)
             if labels.min() == labels.max():
                 labels[0] = 1 - labels[0]
-            assert roc_auc(scores, labels) == pytest.approx(
-                pairwise_auc(scores, labels), abs=1e-12
-            )
+            assert roc_auc(scores, labels) == pairwise_auc(scores, labels)
 
     def test_rank_invariance(self):
         rng = np.random.default_rng(4)
@@ -149,6 +147,11 @@ class TestRocAuc:
     def test_single_class_rejected(self):
         with pytest.raises(ValueError, match="single-class-input"):
             roc_auc(np.array([0.1, 0.9]), np.array([1, 1]))
+
+    @pytest.mark.parametrize("metric", [roc_auc, roc_curve])
+    def test_nan_score_rejected(self, metric):
+        with pytest.raises(ValueError, match="^invalid-score: "):
+            metric(np.array([0.2, np.nan, 0.7]), np.array([0, 1, 1]))
 
 
 class TestRocCurve:
@@ -201,7 +204,15 @@ class TestRocCurve:
             for p in pts[1:]:
                 c = confusion_at_threshold(scores, labels, p.threshold)
                 assert (p.fpr, p.tpr) == (c.fp / n_neg, c.tp / n_pos)
-            assert roc_auc(scores, labels) == pytest.approx(pairwise_auc(scores, labels), abs=1e-12)
+            assert roc_auc(scores, labels) == pairwise_auc(scores, labels)
+
+    def test_zero_block_keeps_its_first_sign(self):
+        # the threshold of a block of equal scores is its first member's value
+        labels = np.array([1, 0, 1, 0])
+        for scores in ([-0.0, 0.0, 1.0, 0.0], [0.0, -0.0, 1.0, -0.0]):
+            pts = roc_curve(np.array(scores), labels)
+            assert [p.threshold for p in pts] == [float("inf"), 1.0, 0.0]
+            assert np.signbit(pts[-1].threshold) == np.signbit(scores[0])
 
 
 class TestClassificationReport:
