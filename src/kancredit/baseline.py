@@ -38,13 +38,12 @@ class LogisticModel:
         return self.weights.size
 
 
-def train_logistic(dataset, learning_rate: float = 0.1, steps: int = 100, seed: int = 0):
+def train_logistic(dataset, learning_rate: float = 0.1, steps: int = 100):
     """Fit a logistic model with full-batch Adam from a zero start.
 
     ``dataset`` is anything with ``.features`` (n, d) and ``.labels`` (n,).
-    Returns ``(model, loss_history, seconds)``. The zero start makes the fit
-    deterministic regardless of ``seed``; the argument exists so call sites
-    can treat baseline and network training interchangeably.
+    Returns ``(model, loss_history, seconds)``; the zero start makes the fit
+    deterministic.
     """
     x = np.asarray(dataset.features, dtype=np.float64)
     y = np.asarray(dataset.labels, dtype=np.float64)
@@ -52,7 +51,7 @@ def train_logistic(dataset, learning_rate: float = 0.1, steps: int = 100, seed: 
     if n == 0:
         raise ValueError("empty-batch: dataset has no rows")
 
-    cfg = TrainConfig(learning_rate=learning_rate, steps=steps, seed=seed)
+    cfg = TrainConfig(learning_rate=learning_rate, steps=steps)
     params = np.zeros(d + 1)
     state = AdamState.zeros(d + 1)
     history = np.empty(steps)

@@ -397,6 +397,8 @@ def _sweep_cell(values, train_ds, test_ds):
 
 def cmd_sweep(ns) -> int:
     values = _resolve("sweep", ns)
+    if values["parallel"] < 1:
+        raise ValueError(f"invalid-config: parallel must be >= 1, got {values['parallel']}")
     train_ds, test_ds = _load_split(values)
     out = Path(values["out"])
     base = {k.name: k.default for k in _KEYS["train"]} | {
@@ -417,9 +419,8 @@ def cmd_sweep(ns) -> int:
 
     # a pool's shutdown waits for every submitted cell, so Ctrl-C in a
     # --parallel 1 sweep stops at once only through the plain loop
-    workers = max(1, values["parallel"])
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+    if values["parallel"] > 1:
+        with ThreadPoolExecutor(max_workers=values["parallel"]) as pool:
             results = list(pool.map(run, cells))
     else:
         results = [run(cell) for cell in cells]

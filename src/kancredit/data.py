@@ -102,7 +102,7 @@ class Scaler:
     hi: np.ndarray
 
     @classmethod
-    def fit(cls, raw: np.ndarray, policy: PreprocessPolicy) -> "Scaler":
+    def fit(cls, raw: np.ndarray, policy: PreprocessPolicy = PreprocessPolicy()) -> "Scaler":
         n_cols = raw.shape[1]
         impute = np.zeros(n_cols)
         income_col = FEATURE_NAMES.index("MonthlyIncome")
@@ -135,7 +135,6 @@ class Dataset:
     feature_names: tuple
     scaler: Scaler | None = None
     raw: np.ndarray | None = field(default=None, repr=False)
-    policy: PreprocessPolicy | None = None
 
     def __len__(self) -> int:
         return self.labels.shape[0]
@@ -238,19 +237,17 @@ def load_gmsc_csv(path) -> RawTable:
     return RawTable(labels=table[:, 0].astype(np.int64), raw=table[:, 1:])
 
 
-def preprocess(table: RawTable, policy: PreprocessPolicy | None = None) -> Dataset:
+def preprocess(table: RawTable) -> Dataset:
     """RawTable -> normalized Dataset; keeps the raw matrix for later refits."""
     if not len(table):
         raise ValueError("empty-input: no records to preprocess")
-    policy = policy or PreprocessPolicy()
-    scaler = Scaler.fit(table.raw, policy)
+    scaler = Scaler.fit(table.raw)
     return Dataset(
         features=scaler.transform(table.raw),
         labels=table.labels,
         feature_names=FEATURE_NAMES,
         scaler=scaler,
         raw=table.raw,
-        policy=policy,
     )
 
 
@@ -262,6 +259,8 @@ def split(dataset: Dataset, test_fraction: float, seed: int):
     """
     if not 0.0 < test_fraction < 1.0:
         raise ValueError(f"invalid-fraction: need 0 < fraction < 1, got {test_fraction}")
+    if seed < 0:
+        raise ValueError(f"invalid-seed: need seed >= 0, got {seed}")
     labels = dataset.labels
     rng = np.random.default_rng(seed)
     test_idx = []
@@ -278,16 +277,14 @@ def split(dataset: Dataset, test_fraction: float, seed: int):
     train_idx = np.flatnonzero(~mask)
 
     if dataset.raw is not None:
-        policy = dataset.policy or PreprocessPolicy()
         raw_train = dataset.raw[train_idx]
-        scaler = Scaler.fit(raw_train, policy)
+        scaler = Scaler.fit(raw_train)
         make = lambda idx, raw: Dataset(
             features=scaler.transform(raw),
             labels=labels[idx],
             feature_names=dataset.feature_names,
             scaler=scaler,
             raw=raw,
-            policy=policy,
         )
         # the test rows are gathered after the training part is built, off its peak
         return make(train_idx, raw_train), make(test_idx, dataset.raw[test_idx])
@@ -300,17 +297,16 @@ def split(dataset: Dataset, test_fraction: float, seed: int):
     return make(train_idx), make(test_idx)
 
 
-def dataset_from_arrays(features, labels, feature_names=None) -> Dataset:
-    """Wrap plain arrays as a Dataset (no scaler, no raw matrix)."""
+def dataset_from_arrays(features, labels) -> Dataset:
+    """Wrap plain arrays as a Dataset with columns x0, x1, ... (no scaler, no raw matrix)."""
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     if features.ndim != 2 or labels.shape != (features.shape[0],):
         raise ValueError(
             f"dimension-mismatch: features {features.shape} vs labels {labels.shape}"
         )
-    if feature_names is None:
-        feature_names = tuple(f"x{i}" for i in range(features.shape[1]))
-    return Dataset(features=features, labels=labels, feature_names=tuple(feature_names))
+    feature_names = tuple(f"x{i}" for i in range(features.shape[1]))
+    return Dataset(features=features, labels=labels, feature_names=feature_names)
 
 
 def write_dataset_csv(dataset: Dataset, path) -> None:

@@ -156,32 +156,22 @@ def _model_fingerprint(net: KanNetwork) -> str:
     return digest.hexdigest()[:16]
 
 
-def _node_ids_and_labels(net: KanNetwork, feature_labels):
-    if feature_labels is None:
-        if net.widths[0] == len(FEATURE_NAMES):
-            feature_labels = FEATURE_NAMES
-        else:
-            feature_labels = [f"x{p}" for p in range(net.widths[0])]
-    ids = [[f"x{p}" for p in range(net.widths[0])]]
-    for li, width in enumerate(net.widths[1:-1], start=1):
-        ids.append([f"l{li}n{q}" for q in range(width)])
-    ids.append(["out"])
-    return ids, list(feature_labels)
-
-
-def export_dot(net: KanNetwork, scores: EdgeScoreMatrix, feature_labels=None) -> str:
-    """Layered digraph in DOT; deterministic bytes for identical inputs."""
+def export_dot(net: KanNetwork, scores: EdgeScoreMatrix) -> str:
+    """Layered digraph in DOT, GMSC names on a 10-input net's inputs; deterministic bytes."""
     shapes = [np.asarray(m).shape for m in scores.per_layer]
     wanted = [(l.n_out, l.n_in) for l in net.layers]
     if shapes != wanted:
         raise ValueError(f"shape-mismatch: scores {shapes} vs layers {wanted}")
-    ids, feature_labels = _node_ids_and_labels(net, feature_labels)
+    ids = [[f"x{p}" for p in range(net.widths[0])]]
+    for li, width in enumerate(net.widths[1:-1], start=1):
+        ids.append([f"l{li}n{q}" for q in range(width)])
+    ids.append(["out"])
+    named = net.widths[0] == len(FEATURE_NAMES)
     peak = max((float(np.max(m)) for m in scores.per_layer), default=0.0)
 
     lines = ["digraph kan {", "  rankdir=LR;", "  node [shape=circle, fontsize=10];"]
     for p, node_id in enumerate(ids[0]):
-        name = feature_labels[p]
-        label = f"x{p}" if name == f"x{p}" else f"x{p}\\n{name}"
+        label = f"x{p}\\n{FEATURE_NAMES[p]}" if named else f"x{p}"
         lines.append(f'  {node_id} [label="{label}"];')
     for layer_ids in ids[1:-1]:
         for node_id in layer_ids:

@@ -70,6 +70,8 @@ def confusion_at_threshold(scores, labels, threshold: float, positive_class: int
     threshold of 0.5 keeps its usual meaning for either class.
     """
     s, y = _check_pair(scores, labels)
+    if np.isnan(threshold):
+        raise ValueError("invalid-threshold: threshold must not be NaN")
     if positive_class not in (0, 1):
         raise ValueError(f"invalid-label: positive_class must be 0 or 1, got {positive_class}")
     if positive_class == 0:

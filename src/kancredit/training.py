@@ -56,6 +56,11 @@ __all__ = [
     "grad_check",
 ]
 
+# Adam's moment decay rates and denominator guard (Kingma & Ba's defaults)
+_ADAM_BETA1 = 0.9
+_ADAM_BETA2 = 0.999
+_ADAM_EPSILON = 1e-8
+
 
 @dataclass(frozen=True)
 class TrainConfig:
@@ -66,23 +71,20 @@ class TrainConfig:
     steps: int = 100
     batch_size: int = -1  # -1 means the whole dataset every step
     seed: int = 0
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_epsilon: float = 1e-8
 
     def __post_init__(self):
         if self.learning_rate <= 0:
             raise ValueError(f"invalid-config: learning_rate must be > 0, got {self.learning_rate}")
+        if not np.isfinite(self.learning_rate):
+            raise ValueError(f"invalid-config: learning_rate must be finite, got {self.learning_rate}")
         if self.steps < 1:
             raise ValueError(f"invalid-config: steps must be >= 1, got {self.steps}")
         if self.batch_size != -1 and self.batch_size < 1:
             raise ValueError(
                 f"invalid-config: batch_size must be -1 or >= 1, got {self.batch_size}"
             )
-        if not (0 <= self.adam_beta1 < 1 and 0 <= self.adam_beta2 < 1):
-            raise ValueError("invalid-config: Adam betas must lie in [0, 1)")
-        if self.adam_epsilon <= 0:
-            raise ValueError("invalid-config: Adam epsilon must be > 0")
+        if self.seed < 0:
+            raise ValueError(f"invalid-config: seed must be >= 0, got {self.seed}")
         object.__setattr__(self, "widths", tuple(int(w) for w in self.widths))
 
 
@@ -193,12 +195,11 @@ def adam_step(params, grads, state: AdamState, t: int, cfg: TrainConfig):
         )
     if t < 1:
         raise ValueError(f"invalid-step: t must be >= 1, got {t}")
-    b1, b2 = cfg.adam_beta1, cfg.adam_beta2
-    m = b1 * state.m + (1.0 - b1) * grads
-    v = b2 * state.v + (1.0 - b2) * grads * grads
-    m_hat = m / (1.0 - b1**t)
-    v_hat = v / (1.0 - b2**t)
-    new_params = params - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.adam_epsilon)
+    m = _ADAM_BETA1 * state.m + (1.0 - _ADAM_BETA1) * grads
+    v = _ADAM_BETA2 * state.v + (1.0 - _ADAM_BETA2) * grads * grads
+    m_hat = m / (1.0 - _ADAM_BETA1**t)
+    v_hat = v / (1.0 - _ADAM_BETA2**t)
+    new_params = params - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + _ADAM_EPSILON)
     return new_params, AdamState(m=m, v=v)
 
 

@@ -428,6 +428,36 @@ class TestNoOutputOnBadInput:
         assert capsys.readouterr().err.startswith("error: invalid-config: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "command, flags, code",
+        [
+            ("train", ["--lr", "-1"], "invalid-config"),
+            ("train", ["--lr", "nan"], "invalid-config"),
+            ("train", ["--lr", "inf"], "invalid-config"),
+            ("train", ["--seed", "-1"], "invalid-seed"),
+            ("eval", ["--seed", "-1"], "invalid-seed"),
+            ("explain", ["--seed", "-1"], "invalid-seed"),
+            ("sweep", ["--seed", "-1"], "invalid-seed"),
+            ("export-dot", ["--seed", "-1"], "invalid-seed"),
+            ("eval", ["--threshold", "nan"], "invalid-threshold"),
+            ("sweep", ["--parallel", "0"], "invalid-config"),
+            ("train", ["--data", "HEADER_A_B_CSV"], "header-mismatch"),
+        ],
+    )
+    def test_bad_value_is_one_coded_line(self, command, flags, code, data_csv, trained_run, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("a,b\n1,2\n")
+        flags = [str(bad) if f == "HEADER_A_B_CSV" else f for f in flags]  # a later --data wins
+        model = [] if command in ("train", "sweep") else ["--model", str(trained_run / "model.json")]
+        out = tmp_path / "out"
+        rc = main([command, *model, "--data", str(data_csv), "--out", str(out), *flags])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert re.match(r"error: [a-z-]+(\(row \d+\))?: ", err)
+        assert err.startswith(f"error: {code}: ")
+        assert not out.exists()
+
 
 class TestUsageErrors:
     def test_no_command_exits_2(self):

@@ -412,7 +412,7 @@ class TestSplit:
         ds = self.make_dataset(200, positives=40)
         train, test = split(ds, 0.2, seed=3)
         # refit by hand on the training rows and transform a held-out row
-        manual = Scaler.fit(train.raw, ds.policy)
+        manual = Scaler.fit(train.raw)
         np.testing.assert_array_equal(manual.lo, test.scaler.lo)
         np.testing.assert_array_equal(manual.hi, test.scaler.hi)
         np.testing.assert_allclose(
@@ -433,6 +433,11 @@ class TestSplit:
         for bad in (0.0, 1.0, -0.1, 1.5):
             with pytest.raises(ValueError, match="invalid-fraction"):
                 split(ds, bad, seed=0)
+
+    def test_negative_seed(self):
+        ds = self.make_dataset(20, positives=5)
+        with pytest.raises(ValueError, match="invalid-seed"):
+            split(ds, 0.2, seed=-1)
 
     def test_class_too_small(self):
         ds = self.make_dataset(20, positives=1)

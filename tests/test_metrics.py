@@ -81,6 +81,8 @@ class TestConfusion:
             confusion_at_threshold(np.zeros(0), np.zeros(0), 0.5)
         with pytest.raises(ValueError, match="invalid-label"):
             confusion_at_threshold(np.zeros(2), np.array([0, 2]), 0.5)
+        with pytest.raises(ValueError, match="invalid-threshold"):
+            confusion_at_threshold(np.zeros(2), np.array([0, 1]), np.nan)
 
 
 class TestPrecisionRecallF1:

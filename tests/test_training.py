@@ -318,8 +318,11 @@ class TestTrainConfig:
             TrainConfig(steps=0)
         with pytest.raises(ValueError, match="invalid-config"):
             TrainConfig(batch_size=0)
+        for lr in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="invalid-config"):
+                TrainConfig(learning_rate=lr)
         with pytest.raises(ValueError, match="invalid-config"):
-            TrainConfig(adam_beta1=1.0)
+            TrainConfig(seed=-1)
 
     def test_default_configuration_values(self):
         cfg = TrainConfig()
