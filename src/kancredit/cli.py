@@ -292,6 +292,10 @@ def cmd_train(ns) -> int:
     values = _resolve("train", ns)
     train_ds, test_ds = _load_split(values)
     net, report = train(train_ds, _train_config(values))
+    reports = {
+        name: _metric_report(net, ds, name)[0]
+        for name, ds in (("train", train_ds), ("test", test_ds))
+    }
     out = _out_dir(values)
     save_network(net, out / "model.json")
     _write_csv(
@@ -299,8 +303,7 @@ def cmd_train(ns) -> int:
         ("step", "loss"),
         [(t + 1, loss) for t, loss in enumerate(report.loss_history)],
     )
-    for name, ds in (("train", train_ds), ("test", test_ds)):
-        metrics, _ = _metric_report(net, ds, name)
+    for name, metrics in reports.items():
         _write_kv(out / f"metrics_{name}.txt", metrics)
     if values["dump_data"]:
         write_dataset_csv(train_ds, out / "data_train.csv")
@@ -308,8 +311,8 @@ def cmd_train(ns) -> int:
         write_scaler_text(train_ds.scaler, train_ds.feature_names, out / "scaler.txt")
     print(
         f"train: steps={values['steps']} final_loss={float(report.loss_history[-1])!r} "
-        f"test_roc_auc={metrics['roc_auc']!r} "
-        f"test_f1_class0={metrics['class0_f1']!r} "
+        f"test_roc_auc={reports['test']['roc_auc']!r} "
+        f"test_f1_class0={reports['test']['class0_f1']!r} "
         f"seconds={report.seconds:.2f}"
     )
     _write_kv(out / "manifest.txt", values, "train")

@@ -2,11 +2,15 @@
 
 An edge's influence is summarized by the population standard deviation of
 its output over a dataset: an edge whose activation never moves carries no
-information.  Feature scores then flow backward from the logit: the output
-node holds score 1, and each node passes its score down, divided among its
-incoming edges in proportion to their influence.  Only the resulting
-ranking is meaningful; the absolute numbers depend on this choice of
-statistic.
+information.  The statistic takes one pass over the data: each chunk's
+exact mean and sum of squared deviations, from the edge outputs already in
+hand, merge into the running ones by Chan et al.'s pairwise update, and a
+dataset of one chunk gives the plain two-pass result bit for bit (see
+``edge_scores``).  Feature scores then flow backward from the logit: the
+output node holds score 1, and each node passes its score down, divided
+among its incoming edges in proportion to their influence.  Only the
+resulting ranking is meaningful; the absolute numbers depend on this choice
+of statistic.
 
 Structure export is plain DOT text (deterministic bytes, golden-testable);
 decision paths decompose one sample's logit into per-edge contributions.
@@ -77,27 +81,36 @@ def _features_of(dataset) -> np.ndarray:
     return x
 
 
-def _edge_outputs(net: KanNetwork, x: np.ndarray):
-    """Yield (layer index, phi) for every layer of every chunk of ``x``."""
+def edge_scores(net: KanNetwork, dataset) -> EdgeScoreMatrix:
+    """Std of each edge output over the dataset, in one chunked pass.
+
+    Each chunk of ``k`` rows takes its exact two-pass mean and sum of squared
+    deviations from the ``phi`` in hand; the chunks merge in order by Chan et
+    al.'s update, ``delta = mean_c - mean``, ``mean += delta * k / n``,
+    ``m2 += m2_c + delta**2 * n_old * k / n``.  The first chunk is taken as
+    is, so data of at most ``CHUNK`` rows gives the plain two-pass result
+    bit for bit.
+    """
+    x = _features_of(dataset)
+    means, m2s = [], []
+    n_old = 0
     for lo in range(0, x.shape[0], CHUNK):
         cur = x[lo : lo + CHUNK]
+        k = cur.shape[0]
+        n = n_old + k
         for li, layer in enumerate(net.layers):
             cur, phi, _ = _layer_batch(layer, cur)
-            yield li, phi
-
-
-def edge_scores(net: KanNetwork, dataset) -> EdgeScoreMatrix:
-    """Std of each edge output over the dataset, in two chunked passes."""
-    x = _features_of(dataset)
-    n = x.shape[0]
-    sums = [np.zeros((l.n_out, l.n_in)) for l in net.layers]
-    for li, phi in _edge_outputs(net, x):
-        sums[li] += phi.sum(axis=0)
-    means = [s / n for s in sums]
-    sq = [np.zeros((l.n_out, l.n_in)) for l in net.layers]
-    for li, phi in _edge_outputs(net, x):
-        sq[li] += ((phi - means[li][None, :, :]) ** 2).sum(axis=0)
-    return EdgeScoreMatrix(per_layer=[np.sqrt(s / n) for s in sq])
+            mean_c = phi.sum(axis=0) / k
+            m2_c = ((phi - mean_c) ** 2).sum(axis=0)
+            if n_old == 0:
+                means.append(mean_c)
+                m2s.append(m2_c)
+                continue
+            delta = mean_c - means[li]
+            means[li] += delta * k / n
+            m2s[li] += m2_c + delta**2 * n_old * k / n
+        n_old = n
+    return EdgeScoreMatrix(per_layer=[np.sqrt(m2 / n_old) for m2 in m2s])
 
 
 def _propagate(node_scores: np.ndarray, layer_scores: np.ndarray) -> np.ndarray:

@@ -204,7 +204,11 @@ def adam_step(params, grads, state: AdamState, t: int, cfg: TrainConfig):
 
 
 def train(dataset, cfg: TrainConfig):
-    """Train a fresh network on ``dataset`` (anything with .features/.labels)."""
+    """Train a fresh network on ``dataset`` (anything with .features/.labels).
+
+    A non-finite loss or gradient stops the run before its Adam update with
+    ``diverged: step N``.
+    """
     x = np.asarray(dataset.features, dtype=np.float64)
     y = np.asarray(dataset.labels, dtype=np.float64)
     n = x.shape[0]
@@ -228,6 +232,8 @@ def train(dataset, cfg: TrainConfig):
             idx = rng.choice(n, size=cfg.batch_size, replace=False)
             bx, by = x[idx], y[idx]
         loss, grads = backward(net, bx, by)
+        if not (np.isfinite(loss) and np.isfinite(grads).all()):
+            raise ValueError(f"diverged: step {t}")
         params, state = adam_step(params, grads, state, t, cfg)
         set_params(net, params)
         history[t - 1] = loss

@@ -428,12 +428,27 @@ class TestNoOutputOnBadInput:
         assert capsys.readouterr().err.startswith("error: invalid-config: ")
         assert not out.exists()
 
+    def test_failed_train_metrics_leave_no_out_dir(self, tmp_path, capsys):
+        data = tmp_path / "small.csv"
+        write_gmsc_csv(data, make_gmsc_rows(1500, seed=5))
+        out = tmp_path / "out"
+        with pytest.warns(UserWarning, match="degenerate-dataset"):
+            rc = main(["train", "--data", str(data), "--out", str(out),
+                       "--test-fraction", "0.999", "--steps", "2"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: single-class-input: ")
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "command, flags, code",
         [
             ("train", ["--lr", "-1"], "invalid-config"),
             ("train", ["--lr", "nan"], "invalid-config"),
             ("train", ["--lr", "inf"], "invalid-config"),
+            pytest.param(
+                "train", ["--lr", "1e300"], "diverged",
+                marks=pytest.mark.filterwarnings("ignore::RuntimeWarning"),
+            ),
             ("train", ["--seed", "-1"], "invalid-seed"),
             ("eval", ["--seed", "-1"], "invalid-seed"),
             ("explain", ["--seed", "-1"], "invalid-seed"),

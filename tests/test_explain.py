@@ -1,11 +1,13 @@
 """Edge scores, attribution propagation, DOT export, decision paths."""
 
+import math
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kancredit.explain as kexplain
 from kancredit.data import dataset_from_arrays, FEATURE_NAMES
 from kancredit.explain import (
     EdgeScoreMatrix,
@@ -18,6 +20,7 @@ from kancredit.explain import (
     sample_activation_curves,
 )
 from kancredit.network import (
+    _layer_batch,
     edge_forward,
     init_network,
     layer_forward,
@@ -27,6 +30,21 @@ from kancredit.network import (
 )
 
 GOLDEN = Path(__file__).parent / "data" / "structure_3_2_1.dot"
+
+
+def layer_edge_outputs(net, x):
+    """Every layer's (n, n_out, n_in) edge outputs over all of ``x`` at once."""
+    outputs = []
+    for layer in net.layers:
+        x, phi, _ = _layer_batch(layer, x)
+        outputs.append(phi)
+    return outputs
+
+
+def random_net(widths, seed):
+    net = init_network(widths, 6, 3, seed=seed)
+    set_params(net, np.random.default_rng(seed).normal(0, 0.5, parameter_count(net)))
+    return net
 
 
 def random_dataset(n, width, seed):
@@ -74,6 +92,37 @@ class TestEdgeScores:
             mean = outputs.sum() / len(outputs)
             var = ((outputs - mean) ** 2).sum() / len(outputs)
             assert scores.per_layer[0][0, p] == pytest.approx(np.sqrt(var), abs=1e-10)
+
+    def test_one_chunk_is_the_plain_two_pass_formula(self):
+        net = random_net([3, 2, 1], seed=31)
+        ds = random_dataset(40, 3, seed=32)
+        n = ds.features.shape[0]
+        for got, phi in zip(edge_scores(net, ds).per_layer, layer_edge_outputs(net, ds.features)):
+            mean = phi.sum(axis=0) / n
+            want = np.sqrt(((phi - mean) ** 2).sum(axis=0) / n)
+            assert np.array_equal(got, want)
+
+    def test_merged_chunks_match_fsum_two_pass_oracle(self, monkeypatch):
+        net = random_net([3, 2, 1], seed=33)
+        ds = random_dataset(53, 3, seed=34)
+        monkeypatch.setattr(kexplain, "CHUNK", 7)
+        scores = edge_scores(net, ds).per_layer
+        for got, phi in zip(scores, layer_edge_outputs(net, ds.features)):
+            for q, p in np.ndindex(got.shape):
+                column = phi[:, q, p].tolist()
+                mean = math.fsum(column) / len(column)
+                var = math.fsum((v - mean) ** 2 for v in column) / len(column)
+                assert got[q, p] == pytest.approx(math.sqrt(var), rel=1e-12, abs=0)
+
+    def test_constant_feature_stays_zero_across_chunks(self, monkeypatch):
+        net = random_net([2, 1], seed=35)
+        rng = np.random.default_rng(36)
+        feats = rng.uniform(-1, 1, (50, 2))
+        feats[:, 1] = 0.37
+        monkeypatch.setattr(kexplain, "CHUNK", 7)
+        scores = edge_scores(net, dataset_from_arrays(feats, rng.integers(0, 2, 50)))
+        assert scores.per_layer[0][0, 1] < 1e-15
+        assert scores.per_layer[0][0, 0] > 0.0
 
     def test_all_entries_finite_nonnegative(self):
         net = init_network([4, 3, 1], 5, 3, seed=6)

@@ -1,6 +1,7 @@
 """Gradient correctness against finite differences, Adam, and the train loop."""
 
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -291,8 +292,6 @@ class TestTrainLoop:
         assert np.all(np.diff(tail) <= 1e-9)
 
     def test_single_class_warns_but_trains(self, toy_dataset):
-        from types import SimpleNamespace
-
         ds = SimpleNamespace(
             features=toy_dataset.features[:10], labels=np.ones(10, dtype=int)
         )
@@ -300,6 +299,20 @@ class TestTrainLoop:
         with pytest.warns(UserWarning, match="degenerate-dataset"):
             net, report = train(ds, cfg)
         assert np.isfinite(report.loss_history).all()
+
+    def test_diverged_run_raises_at_first_non_finite_step(self, toy_dataset):
+        cfg = TrainConfig(widths=(2, 1), grid_count=5, degree=3, learning_rate=1e300,
+                          steps=20, seed=0)
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match=r"^diverged: step 2$"):
+            train(toy_dataset, cfg)
+
+    def test_non_finite_input_diverges_at_step_one(self, toy_dataset):
+        features = toy_dataset.features.copy()
+        features[3, 1] = np.nan
+        ds = SimpleNamespace(features=features, labels=toy_dataset.labels)
+        cfg = TrainConfig(widths=(2, 1), grid_count=5, degree=3, steps=5, seed=0)
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match=r"^diverged: step 1$"):
+            train(ds, cfg)
 
     def test_trained_net_separates_toy_data(self, toy_dataset):
         cfg = TrainConfig(widths=(2, 1), grid_count=5, degree=3, learning_rate=0.1,
