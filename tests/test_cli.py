@@ -445,10 +445,6 @@ class TestNoOutputOnBadInput:
             ("train", ["--lr", "-1"], "invalid-config"),
             ("train", ["--lr", "nan"], "invalid-config"),
             ("train", ["--lr", "inf"], "invalid-config"),
-            pytest.param(
-                "train", ["--lr", "1e300"], "diverged",
-                marks=pytest.mark.filterwarnings("ignore::RuntimeWarning"),
-            ),
             ("train", ["--seed", "-1"], "invalid-seed"),
             ("eval", ["--seed", "-1"], "invalid-seed"),
             ("explain", ["--seed", "-1"], "invalid-seed"),
@@ -457,6 +453,10 @@ class TestNoOutputOnBadInput:
             ("eval", ["--threshold", "nan"], "invalid-threshold"),
             ("sweep", ["--parallel", "0"], "invalid-config"),
             ("train", ["--data", "HEADER_A_B_CSV"], "header-mismatch"),
+            pytest.param(
+                "train", ["--lr", "1e300"], "diverged",
+                marks=pytest.mark.filterwarnings("ignore::RuntimeWarning"),
+            ),
         ],
     )
     def test_bad_value_is_one_coded_line(self, command, flags, code, data_csv, trained_run, tmp_path, capsys):
