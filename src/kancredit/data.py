@@ -275,6 +275,13 @@ def split(dataset: Dataset, test_fraction: float, seed: int):
     mask = np.zeros(len(dataset), dtype=bool)
     mask[test_idx] = True
     train_idx = np.flatnonzero(~mask)
+    for part, idx in (("train", train_idx), ("test", test_idx)):
+        absent = [cls for cls in (0, 1) if not (labels[idx] == cls).any()]
+        if absent:
+            raise ValueError(
+                f"empty-split: test fraction {test_fraction} leaves no class-{absent[0]} "
+                f"row in the {part} part ({idx.size} rows)"
+            )
 
     if dataset.raw is not None:
         raw_train = dataset.raw[train_idx]

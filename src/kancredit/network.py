@@ -24,6 +24,10 @@ summing in a fixed order, so an edge's value is the same in any batch.
 from __future__ import annotations
 
 import json
+import os
+import queue
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,8 +62,25 @@ __all__ = [
     "load_network",
 ]
 
-# samples per forward chunk; bounds the (chunk, n_out, n_in) temporaries
-CHUNK = 16384
+# samples per chunk; bounds the (chunk, n_out, n_in) temporaries.  Chunked
+# results are merged in chunk order, so they depend on this grid and never on
+# how many threads ran the chunks; two 8192-row chunks in flight (see
+# _chunk_map) take about the memory one 16384-row chunk did.
+CHUNK = 8192
+
+# the one extra thread a process runs chunks on, made on first use, and the
+# lock a caller holds while it uses that thread
+_HELPER = None
+_HELPER_IN_USE = threading.Lock()
+
+
+def _forget_helper():
+    """A forked child inherits the executor but not its thread, so it makes its own."""
+    global _HELPER, _HELPER_IN_USE
+    _HELPER, _HELPER_IN_USE = None, threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_helper)
 
 COEF_INIT_SCALE = 0.1
 
@@ -135,6 +156,57 @@ class ForwardTrace:
     edge_outputs: list
     node_sums: list
     logit: float
+
+
+def _chunk_map(func, starts) -> list:
+    """``[func(lo) for lo in starts]``, shared between this thread and a helper thread.
+
+    Both threads take chunk indices from one queue, and the results come back
+    in chunk order.  The helper joins only for two or more chunks on a
+    multi-CPU host, and only when no other caller has it; a caller that finds
+    it busy runs every chunk itself, so concurrent callers never wait on each
+    other.  The helper runs its chunks under the caller's numpy error state.
+    A chunk that raises stops the queue, and the error reaches the caller
+    after the helper has finished.
+    """
+    global _HELPER
+    starts = list(starts)
+    if len(starts) < 2 or (os.cpu_count() or 1) < 2 or not _HELPER_IN_USE.acquire(blocking=False):
+        return [func(lo) for lo in starts]
+    try:
+        results = [None] * len(starts)
+        todo = queue.SimpleQueue()
+        for i in range(len(starts)):
+            todo.put(i)
+        stop = threading.Event()
+
+        def drain():
+            while not stop.is_set():
+                try:
+                    i = todo.get_nowait()
+                except queue.Empty:
+                    return
+                try:
+                    results[i] = func(starts[i])
+                except BaseException:
+                    stop.set()
+                    raise
+
+        def helper_drain(errors):
+            with np.errstate(**errors):
+                drain()
+
+        if _HELPER is None:
+            _HELPER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="kancredit-chunk")
+        helper = _HELPER.submit(helper_drain, np.geterr())
+        try:
+            drain()
+        finally:
+            helper.exception()  # waits: no chunk outlives the call
+        helper.result()
+        return results
+    finally:
+        _HELPER_IN_USE.release()
 
 
 def _param_views(buffer: np.ndarray, widths, n_basis: int) -> list:

@@ -19,8 +19,13 @@ those bases, and the spline derivative a gather of the coefficients over
 the derivative band.  Everything is checked against central finite
 differences in the tests.
 
-Batches stream through in fixed-size chunks so full-batch training on
-hundreds of thousands of rows stays inside a small memory budget.
+Batches stream through on a fixed grid of ``CHUNK``-row chunks, so
+full-batch training on hundreds of thousands of rows stays inside a small
+memory budget.  Each chunk's loss sum and gradient go into buffers of their
+own, which are added up in chunk order: the result depends on the grid and
+never on the threads.  A batch of two or more chunks runs on the calling
+thread and at most one extra, process-wide helper thread (``_chunk_map``);
+a batch of one chunk, such as a 4096-row minibatch, never leaves the caller.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from kancredit.network import (
     CHUNK,
     KanLayer,
     KanNetwork,
+    _chunk_map,
     _layer_batch,
     _param_views,
     flatten_params,
@@ -161,14 +167,17 @@ def _layer_backward(layer: KanLayer, cache, grad, grad_views, need_input: bool):
 
 
 def backward(net: KanNetwork, batch_x, batch_y):
-    """Mean BCE loss and its gradient in canonical parameter order."""
+    """Mean BCE loss and its gradient in canonical parameter order.
+
+    Each chunk's loss sum and gradient are computed in buffers of their own,
+    on up to two threads, and added up in chunk order.
+    """
     x, y = _check_batch(net, batch_x, batch_y)
     n_total = x.shape[0]
-    flat = np.zeros_like(net.params)
-    grad_views = _param_views(flat, net.widths, net.layers[0].knots.n_basis)
-    loss_sum = 0.0
 
-    for lo in range(0, n_total, CHUNK):
+    def chunk(lo):
+        flat = np.zeros_like(net.params)
+        grad_views = _param_views(flat, net.widths, net.layers[0].knots.n_basis)
         yc = y[lo : lo + CHUNK]
         cur = x[lo : lo + CHUNK]
         caches = []
@@ -177,12 +186,16 @@ def backward(net: KanNetwork, batch_x, batch_y):
             caches.append(cache)
 
         z = cur[:, 0]
-        loss_sum += np.sum(_bce_terms(z, yc))
         grad = ((sigmoid(z) - yc) / n_total)[:, None]
         for li in range(len(net.layers) - 1, -1, -1):
             grad = _layer_backward(net.layers[li], caches[li], grad, grad_views[li], li > 0)
+        return np.sum(_bce_terms(z, yc)), flat
 
-    return loss_sum / n_total, flat
+    loss_sum, total = 0.0, np.zeros_like(net.params)
+    for chunk_loss, chunk_grad in _chunk_map(chunk, range(0, n_total, CHUNK)):
+        loss_sum += chunk_loss
+        total += chunk_grad
+    return loss_sum / n_total, total
 
 
 def adam_step(params, grads, state: AdamState, t: int, cfg: TrainConfig):
@@ -231,10 +244,11 @@ def train(dataset, cfg: TrainConfig):
         else:
             idx = rng.choice(n, size=cfg.batch_size, replace=False)
             bx, by = x[idx], y[idx]
-        loss, grads = backward(net, bx, by)
-        if not (np.isfinite(loss) and np.isfinite(grads).all()):
-            raise ValueError(f"diverged: step {t}")
-        params, state = adam_step(params, grads, state, t, cfg)
+        with np.errstate(all="ignore"):  # a non-finite step is reported just below
+            loss, grads = backward(net, bx, by)
+            if not (np.isfinite(loss) and np.isfinite(grads).all()):
+                raise ValueError(f"diverged: step {t}")
+            params, state = adam_step(params, grads, state, t, cfg)
         set_params(net, params)
         history[t - 1] = loss
     seconds = time.perf_counter() - started

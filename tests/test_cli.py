@@ -3,11 +3,14 @@
 import contextlib
 import io
 import json
+import os
 import re
 
 import numpy as np
 import pytest
 
+import kancredit.cli as kcli
+import kancredit.training as ktraining
 from kancredit.cli import _KEYS, main
 from kancredit.network import load_network
 
@@ -428,15 +431,27 @@ class TestNoOutputOnBadInput:
         assert capsys.readouterr().err.startswith("error: invalid-config: ")
         assert not out.exists()
 
-    def test_failed_train_metrics_leave_no_out_dir(self, tmp_path, capsys):
-        data = tmp_path / "small.csv"
-        write_gmsc_csv(data, make_gmsc_rows(1500, seed=5))
+    def test_failed_train_metrics_leave_no_out_dir(self, data_csv, tmp_path, capsys, monkeypatch):
+        # a split always leaves both classes in both parts, so the metrics
+        # failure after training is injected
+        def refuse(*args, **kwargs):
+            raise ValueError("single-class-input: ROC needs both classes")
+
+        monkeypatch.setattr(kcli, "classification_report", refuse)
         out = tmp_path / "out"
-        with pytest.warns(UserWarning, match="degenerate-dataset"):
-            rc = main(["train", "--data", str(data), "--out", str(out),
-                       "--test-fraction", "0.999", "--steps", "2"])
+        rc = main(["train", "--data", str(data_csv), "--out", str(out), "--steps", "2"])
         assert rc == 2
         assert capsys.readouterr().err.startswith("error: single-class-input: ")
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_diverged_run_on_two_threads_prints_one_line(self, data_csv, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(ktraining, "CHUNK", 7)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        out = tmp_path / "out"
+        rc = main(["train", "--data", str(data_csv), "--out", str(out), "--lr", "1e300"])
+        assert rc == 2
+        assert capsys.readouterr().err == "error: diverged: step 2\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -453,10 +468,8 @@ class TestNoOutputOnBadInput:
             ("eval", ["--threshold", "nan"], "invalid-threshold"),
             ("sweep", ["--parallel", "0"], "invalid-config"),
             ("train", ["--data", "HEADER_A_B_CSV"], "header-mismatch"),
-            pytest.param(
-                "train", ["--lr", "1e300"], "diverged",
-                marks=pytest.mark.filterwarnings("ignore::RuntimeWarning"),
-            ),
+            ("train", ["--lr", "1e300"], "diverged"),
+            ("train", ["--test-fraction", "0.999"], "empty-split"),
         ],
     )
     def test_bad_value_is_one_coded_line(self, command, flags, code, data_csv, trained_run, tmp_path, capsys):

@@ -444,6 +444,12 @@ class TestSplit:
         with pytest.raises(ValueError, match="class-too-small"):
             split(ds, 0.2, seed=0)
 
+    @pytest.mark.parametrize("fraction, cls, part", [(0.999, 0, "train"), (0.95, 1, "train"), (0.001, 0, "test")])
+    def test_part_without_a_class_is_refused(self, fraction, cls, part):
+        ds = self.make_dataset(100, positives=10)
+        with pytest.raises(ValueError, match=rf"^empty-split: .* no class-{cls} row in the {part} part"):
+            split(ds, fraction, seed=0)
+
     def test_array_dataset_passthrough(self):
         rng = np.random.default_rng(13)
         ds = dataset_from_arrays(rng.uniform(-1, 1, (40, 3)), rng.integers(0, 2, 40))

@@ -1,12 +1,20 @@
 """Gradient correctness against finite differences, Adam, and the train loop."""
 
+import os
+import signal
+import sys
+import threading
+import time
 import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import kancredit.network as knet
+import kancredit.training as ktraining
 from kancredit.network import (
+    _chunk_map,
     _layer_batch,
     flatten_params,
     init_network,
@@ -140,8 +148,9 @@ class TestBackward:
         np.testing.assert_allclose(grads, want_grads, rtol=1e-12, atol=1e-12)
 
     def test_full_chunk_peak_memory(self):
-        # one 16384-row chunk of the shipped 10,1 grid-80 model; a dense
-        # (n, n_in, n_basis) basis alone would take 110 MB here
+        # 16384 rows of the shipped 10,1 grid-80 model, two chunks in flight
+        # on two threads; a dense (n, n_in, n_basis) basis alone would take
+        # 110 MB here
         net = init_network([10, 1], 80, 4, seed=3)
         rng = np.random.default_rng(23)
         x = rng.uniform(-1.2, 1.2, size=(16384, 10))
@@ -162,6 +171,131 @@ class TestBackward:
             backward(net, np.zeros((0, 4)), np.zeros(0))
         with pytest.raises(ValueError, match="invalid-label"):
             backward(net, np.zeros((2, 4)), np.array([0.0, 0.5]))
+
+
+def _chunked_problem(seed, widths=(3, 2, 1), rows=40):
+    net = init_network(list(widths), 5, 3, seed=seed)
+    rng = np.random.default_rng(seed)
+    set_params(net, rng.normal(0, 0.5, parameter_count(net)))
+    x = rng.uniform(-1.2, 1.2, size=(rows, widths[0]))
+    y = (rng.random(rows) < 0.4).astype(np.float64)
+    return net, x, y
+
+
+def _shared_with_the_helper(func, helper_ran):
+    """``func`` that, on the calling thread, waits until the helper thread has called it."""
+    caller = threading.current_thread()
+
+    def wrapper(*args):
+        if threading.current_thread() is not caller:
+            helper_ran.set()
+        elif not helper_ran.wait(timeout=10):
+            raise AssertionError("the helper thread took no chunk")
+        return func(*args)
+
+    return wrapper
+
+
+class TestChunkHelper:
+    """backward over a 7-row chunk grid, with the helper thread and without it."""
+
+    @pytest.fixture(autouse=True)
+    def small_grid(self, monkeypatch):
+        monkeypatch.setattr(ktraining, "CHUNK", 7)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+    def test_helper_on_and_off_agree_bit_for_bit(self, monkeypatch):
+        net, x, y = _chunked_problem(6)
+        helper_ran = threading.Event()
+        with monkeypatch.context() as m:
+            m.setattr(ktraining, "_layer_batch", _shared_with_the_helper(_layer_batch, helper_ran))
+            loss, grad = backward(net, x, y)
+        assert helper_ran.is_set()
+        with knet._HELPER_IN_USE:  # a busy helper: the caller runs every chunk
+            busy_loss, busy_grad = backward(net, x, y)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        one_cpu_loss, one_cpu_grad = backward(net, x, y)
+        assert loss == busy_loss == one_cpu_loss
+        assert np.array_equal(grad, busy_grad) and np.array_equal(grad, one_cpu_grad)
+
+    def test_one_chunk_stays_on_the_caller(self, monkeypatch):
+        net, x, y = _chunked_problem(7, rows=7)
+        threads = set()
+
+        def recording(layer, cur):
+            threads.add(threading.current_thread())
+            return _layer_batch(layer, cur)
+
+        monkeypatch.setattr(ktraining, "_layer_batch", recording)
+        backward(net, x, y)
+        assert threads == {threading.current_thread()}
+
+    def test_error_in_a_helper_chunk_reaches_the_caller(self):
+        caller = threading.current_thread()
+        helper_failed = threading.Event()
+
+        def chunk(lo):
+            if threading.current_thread() is caller:
+                helper_failed.wait(timeout=10)
+                return lo
+            helper_failed.set()
+            raise FloatingPointError(f"chunk {lo} failed")
+
+        with pytest.raises(FloatingPointError, match=r"^chunk \d+ failed$"):
+            _chunk_map(chunk, range(0, 40, 10))
+        assert helper_failed.is_set()
+        helper_ran = threading.Event()
+        doubled = _shared_with_the_helper(lambda lo: 2 * lo, helper_ran)
+        assert _chunk_map(doubled, range(4)) == [0, 2, 4, 6]
+        assert helper_ran.is_set()
+
+    def test_forked_child_runs_chunks_on_a_helper_of_its_own(self):
+        helper_ran = threading.Event()
+        doubled = _shared_with_the_helper(lambda lo: 2 * lo, helper_ran)
+        assert _chunk_map(doubled, range(4)) == [0, 2, 4, 6]  # the parent's helper exists
+        pid = os.fork()
+        if pid == 0:  # the child: exit 0 only if the chunks came back
+            signal.alarm(20)
+            os._exit(0 if _chunk_map(lambda lo: 2 * lo, range(4)) == [0, 2, 4, 6] else 1)
+        deadline = time.monotonic() + 30
+        while (status := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        if status[0] == 0:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        assert status[0] == pid and os.waitstatus_to_exitcode(status[1]) == 0
+
+    def test_concurrent_callers_each_get_their_serial_result(self):
+        problems = [_chunked_problem(seed, rows=60) for seed in range(4)]
+        with knet._HELPER_IN_USE:
+            want = [backward(*problem) for problem in problems]
+        outcomes = [[] for _ in problems]
+
+        def call(i):
+            for _ in range(10):
+                try:
+                    outcomes[i].append(backward(*problems[i]))
+                except Exception as exc:  # noqa: BLE001 - reported by the assertions below
+                    outcomes[i].append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=call, args=(i,)) for i in range(len(problems))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for (want_loss, want_grad), got in zip(want, outcomes):
+            assert len(got) == 10
+            for result in got:
+                assert not isinstance(result, Exception), result
+                assert result[0] == want_loss and np.array_equal(result[1], want_grad)
+        helpers = [t for t in threading.enumerate() if t.name.startswith("kancredit-chunk")]
+        assert len(helpers) <= 1
 
 
 class TestGradCheck:
