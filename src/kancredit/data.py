@@ -254,8 +254,9 @@ def preprocess(table: RawTable) -> Dataset:
 def split(dataset: Dataset, test_fraction: float, seed: int):
     """Stratified train/test split; the scaler is refit on training rows only.
 
-    Datasets without a raw matrix (built directly from arrays) are split by
-    indexing the features as-is.
+    A fraction that leaves either part without a row of each class raises
+    ``empty-split``.  Datasets without a raw matrix (built directly from
+    arrays) are split by indexing the features as-is.
     """
     if not 0.0 < test_fraction < 1.0:
         raise ValueError(f"invalid-fraction: need 0 < fraction < 1, got {test_fraction}")
@@ -270,18 +271,17 @@ def split(dataset: Dataset, test_fraction: float, seed: int):
             raise ValueError(f"class-too-small: class {cls} has {members.size} member")
         members = members[rng.permutation(members.size)]
         n_test = int(round(members.size * test_fraction))
+        for part, n in (("train", members.size - n_test), ("test", n_test)):
+            if n == 0:
+                raise ValueError(
+                    f"empty-split: test fraction {test_fraction} leaves no class-{cls} "
+                    f"row in the {part} part"
+                )
         test_idx.append(members[:n_test])
     test_idx = np.sort(np.concatenate(test_idx))
     mask = np.zeros(len(dataset), dtype=bool)
     mask[test_idx] = True
     train_idx = np.flatnonzero(~mask)
-    for part, idx in (("train", train_idx), ("test", test_idx)):
-        absent = [cls for cls in (0, 1) if not (labels[idx] == cls).any()]
-        if absent:
-            raise ValueError(
-                f"empty-split: test fraction {test_fraction} leaves no class-{absent[0]} "
-                f"row in the {part} part ({idx.size} rows)"
-            )
 
     if dataset.raw is not None:
         raw_train = dataset.raw[train_idx]

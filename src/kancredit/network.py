@@ -68,19 +68,11 @@ __all__ = [
 # _chunk_map) take about the memory one 16384-row chunk did.
 CHUNK = 8192
 
-# the one extra thread a process runs chunks on, made on first use, and the
-# lock a caller holds while it uses that thread
-_HELPER = None
+# the one extra thread a process runs chunks on, as (pid, executor), made on
+# first use: a forked child inherits the executor but not its thread, so it
+# makes its own; and the lock a caller holds while it uses that thread
+_HELPER = (None, None)
 _HELPER_IN_USE = threading.Lock()
-
-
-def _forget_helper():
-    """A forked child inherits the executor but not its thread, so it makes its own."""
-    global _HELPER, _HELPER_IN_USE
-    _HELPER, _HELPER_IN_USE = None, threading.Lock()
-
-
-os.register_at_fork(after_in_child=_forget_helper)
 
 COEF_INIT_SCALE = 0.1
 
@@ -196,9 +188,9 @@ def _chunk_map(func, starts) -> list:
             with np.errstate(**errors):
                 drain()
 
-        if _HELPER is None:
-            _HELPER = ThreadPoolExecutor(max_workers=1, thread_name_prefix="kancredit-chunk")
-        helper = _HELPER.submit(helper_drain, np.geterr())
+        if _HELPER[0] != os.getpid():
+            _HELPER = (os.getpid(), ThreadPoolExecutor(1, thread_name_prefix="kancredit-chunk"))
+        helper = _HELPER[1].submit(helper_drain, np.geterr())
         try:
             drain()
         finally:

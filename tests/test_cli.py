@@ -371,6 +371,23 @@ class TestSweep:
             )
             assert row[1:3] == [auc, f1] == [metrics["roc_auc"], metrics["class0_f1"]], cell
 
+    def test_parallel_cells_equal_serial_cells(self, tmp_path, monkeypatch):
+        # four chunks per step, so cells share or skip the helper thread
+        monkeypatch.setattr(ktraining, "CHUNK", 30)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        path = tmp_path / "small.csv"
+        write_gmsc_csv(path, make_gmsc_rows(120, seed=3))
+        outs = [tmp_path / "serial", tmp_path / "parallel"]
+        for out, parallel in zip(outs, ("1", "2")):
+            with contextlib.redirect_stdout(io.StringIO()):
+                rc = main(["sweep", "--data", str(path), "--out", str(out), "--parallel", parallel])
+            assert rc == 0
+        cells = sorted(p.name for p in outs[0].iterdir() if p.is_dir())
+        assert len(cells) == 7
+        for cell in cells:
+            for name in ("model.json", "metrics.txt"):
+                assert (outs[0] / cell / name).read_bytes() == (outs[1] / cell / name).read_bytes()
+
 
 class TestExportCommands:
     def test_export_dot_stdout(self, trained_run, data_csv, capsys):
