@@ -173,11 +173,11 @@ class TestBackward:
             backward(net, np.zeros((2, 4)), np.array([0.0, 0.5]))
 
 
-def _chunked_problem(seed, widths=(3, 2, 1), rows=40):
-    net = init_network(list(widths), 5, 3, seed=seed)
+def _chunked_problem(seed, rows=40):
+    net = init_network([3, 2, 1], 5, 3, seed=seed)
     rng = np.random.default_rng(seed)
     set_params(net, rng.normal(0, 0.5, parameter_count(net)))
-    x = rng.uniform(-1.2, 1.2, size=(rows, widths[0]))
+    x = rng.uniform(-1.2, 1.2, size=(rows, 3))
     y = (rng.random(rows) < 0.4).astype(np.float64)
     return net, x, y
 
