@@ -6,10 +6,10 @@ column first), rejects anything malformed with the offending row number, and
 returns a RawTable: the labels and the raw feature matrix, NaN where an
 optional cell is missing.
 
-The loader parses ``_BLOCK_ROWS`` rows at a time, column by column, with
-``_parse_cell``'s rules as numpy checks that may only reject.  A file with a
-block they reject is parsed again from the top, row by row through
-``_parse_cell``: that strict parse alone words a ``parse-error(row N)``.
+numpy's C reader (``np.loadtxt``) reads the data rows, with a converter for
+the two optional columns' missing-value tokens, and numpy checks of
+``_parse_cell``'s rules on whole columns may only refuse.  A refused file is
+parsed again from the top, row by row: that strict parse alone words errors.
 
 Preprocessing policy: impute missing MonthlyIncome with the training
 median and missing NumberOfDependents with 0, winsorize every column at
@@ -25,8 +25,9 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
+import warnings
 from dataclasses import dataclass, field
-from itertools import compress, islice
 
 import numpy as np
 
@@ -65,9 +66,6 @@ _COLUMNS = [
 FEATURE_NAMES = tuple(name for name, *_ in _COLUMNS[1:])
 
 _MISSING_TOKENS = {"", "na", "nan", "null"}
-
-_BLOCK_ROWS = 16384  # rows per column-wise parse block
-
 
 @dataclass(frozen=True)
 class RawTable:
@@ -164,76 +162,87 @@ def _parse_cell(cell: str, kind: str, optional: bool, nonneg: bool, where: str) 
     return float(whole)  # "-0" is the integer 0, not -0.0
 
 
-def _parse_column(col, kind, optional, nonneg) -> np.ndarray:
-    """A block's column as ``_parse_cell`` parses it; ValueError where it might refuse a cell."""
-    keep = np.ones(len(col), dtype=bool)
-    if optional:
-        tokens = map(str.lower, map(str.strip, col))
-        keep = ~np.fromiter(map(_MISSING_TOKENS.__contains__, tokens), bool, len(col))
-    values = np.full(len(col), math.nan)
-    values[keep] = np.fromiter(map(float, compress(col, keep.tolist())), np.float64)
-    ok = np.isfinite(values) & ((values >= 0) | (not nonneg))
-    if kind != "float":
-        ok &= (values == np.floor(values)) & ((values <= 1) | (kind != "label"))
-    if not (ok | ~keep).all():
-        raise ValueError("a cell needs the row-by-row parse")
-    return values if kind == "float" else values + 0.0  # "-0" is the integer 0
+def _optional_cell(cell: str) -> float:
+    """An optional cell for the C reader: NaN if missing; a NaN spelled any other way refuses."""
+    if cell.strip().lower() in _MISSING_TOKENS:
+        return math.nan
+    value = float(cell)
+    if math.isnan(value):
+        raise ValueError(f"a NaN that is not a missing token: {cell!r}")
+    return value
 
 
-def _parse_blocks(rows, width, cells) -> np.ndarray | None:
-    """The rows ``_BLOCK_ROWS`` at a time, column by column; None if a block might hold an error."""
-    blocks = [np.empty((0, len(cells)))]
+def _read_columns(fh, width, cells) -> np.ndarray:
+    """The rest of ``fh`` by numpy's C reader, in schema order; ValueError where a cell might be refused."""
+    converters = {index: _optional_cell for index, _, optional, _ in cells if optional}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)  # a file without data rows warns
+        rows = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, converters=converters)
+    if rows.shape[1] != width:  # rows that are all one width too short or too long still parse
+        raise ValueError("a row of the wrong width")
+    for index, kind, optional, nonneg in cells:
+        col = rows[:, index]
+        ok = np.isfinite(col) & ((col >= 0) | (not nonneg))
+        if kind != "float":
+            ok &= (col == np.floor(col)) & ((col <= 1) | (kind != "label"))
+            col += 0.0  # "-0" is the integer 0
+        if not (ok | (optional & np.isnan(col))).all():
+            raise ValueError("a cell needs the row-by-row parse")
+    order = [index for index, *_ in cells]  # a slice where it can be, so no copy
+    return rows[:, order] if np.any(np.diff(order) != 1) else rows[:, order[0] : order[-1] + 1]
+
+
+def _parse_table(fh) -> np.ndarray:
+    """The checked header, then the data rows as an (n, 11) array in schema order."""
+    header = next(csv.reader(fh), None)
+    if header is None:
+        raise ValueError("header-mismatch: file is empty")
+    offset = 1 if header and header[0].strip() == "" else 0
+    names = [h.strip() for h in header[offset:]]
+    wanted = {name for name, *_ in _COLUMNS}
+    if set(names) != wanted:
+        missing = sorted(wanted - set(names))
+        extra = sorted(set(names) - wanted)
+        raise ValueError(f"header-mismatch: missing columns {missing}, unexpected {extra}")
+    duplicates = sorted(name for name in wanted if names.count(name) > 1)
+    if duplicates:
+        raise ValueError(f"header-mismatch: duplicate columns {duplicates}")
+    cells = [(offset + names.index(name), *spec) for name, *spec in _COLUMNS]
     try:
-        while block := list(islice(rows, _BLOCK_ROWS)):
-            if set(map(len, block)) != {width}:
-                return None
-            columns = list(zip(*block))
-            blocks.append(np.column_stack([_parse_column(columns[i], *spec) for i, *spec in cells]))
-    except (ValueError, csv.Error):
-        return None
-    return np.concatenate(blocks)
+        return _read_columns(fh, len(header), cells)
+    except (ValueError, UserWarning):  # bytes that are not UTF-8 too
+        fh.seek(0)  # the row-by-row parse is the only code that words an error
+    reader = csv.reader(fh)
+    next(reader)
+    values = []
+    for row in filter(None, reader):  # csv reads a blank line as an empty row
+        where = f"row {reader.line_num}"
+        if len(row) != len(header):
+            raise ValueError(f"parse-error({where}): expected {len(header)} cells, got {len(row)}")
+        values += [_parse_cell(row[index], *spec, where) for index, *spec in cells]
+    return np.array(values, dtype=np.float64).reshape(-1, len(_COLUMNS))
+
+
+def _utf8_error(data: bytes) -> str:
+    """The parse-error naming the file line of the first bytes in ``data`` that are not UTF-8."""
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len(re.findall(rb"\r\n|\r|\n", data[: exc.start])) + 1  # where csv ends a line
+        return f"parse-error(row {line}): not UTF-8: {exc.reason} {data[exc.start]:#04x}"
 
 
 def load_gmsc_csv(path) -> RawTable:
     """Parse the GMSC training CSV into a RawTable, strictly."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        if not fh.seekable():  # a pipe: hold its text, so a rejected block can be read again
-            fh = io.StringIO(fh.read(), newline="")
-        reader = csv.reader(fh)
+    with open(path, "rb") as stream:
+        if not stream.seekable():  # a pipe: hold its bytes, so a refused fast read can start over
+            stream = io.BytesIO(stream.read())
+        fh = io.TextIOWrapper(stream, encoding="utf-8", newline="")  # lives until the file closes
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError("header-mismatch: file is empty") from None
-        offset = 1 if header and header[0].strip() == "" else 0
-        names = [h.strip() for h in header[offset:]]
-        wanted = {name for name, *_ in _COLUMNS}
-        if set(names) != wanted:
-            missing = sorted(wanted - set(names))
-            extra = sorted(set(names) - wanted)
-            raise ValueError(
-                f"header-mismatch: missing columns {missing}, unexpected {extra}"
-            )
-        duplicates = sorted(name for name in wanted if names.count(name) > 1)
-        if duplicates:
-            raise ValueError(f"header-mismatch: duplicate columns {duplicates}")
-        cells = [(offset + names.index(name), *spec) for name, *spec in _COLUMNS]
-        table = _parse_blocks(filter(None, reader), len(header), cells)
-        if table is None:  # the row-by-row parse is the only code that words an error
-            fh.seek(0)
-            reader = csv.reader(fh)
-            next(reader)
-            values = []
-            for row in reader:
-                if not row:
-                    continue
-                where = f"row {reader.line_num}"
-                if len(row) != len(header):
-                    raise ValueError(
-                        f"parse-error({where}): expected {len(header)} cells, got {len(row)}"
-                    )
-                for index, kind, optional, nonneg in cells:
-                    values.append(_parse_cell(row[index], kind, optional, nonneg, where))
-            table = np.array(values, dtype=np.float64).reshape(-1, len(_COLUMNS))
+            table = _parse_table(fh)
+        except UnicodeDecodeError:
+            stream.seek(0)
+            raise ValueError(_utf8_error(stream.read())) from None
     return RawTable(labels=table[:, 0].astype(np.int64), raw=table[:, 1:])
 
 

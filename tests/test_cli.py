@@ -487,12 +487,17 @@ class TestNoOutputOnBadInput:
             ("train", ["--data", "HEADER_A_B_CSV"], "header-mismatch"),
             ("train", ["--lr", "1e300"], "diverged"),
             ("train", ["--test-fraction", "0.999"], "empty-split"),
+            ("train", ["--data", "NOT_UTF8_CSV"], "parse-error(row 401)"),
         ],
     )
     def test_bad_value_is_one_coded_line(self, command, flags, code, data_csv, trained_run, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b\n1,2\n")
-        flags = [str(bad) if f == "HEADER_A_B_CSV" else f for f in flags]  # a later --data wins
+        not_utf8 = tmp_path / "not-utf8.csv"
+        text = data_csv.read_bytes()  # a byte 0xff inside the last cell of line 401
+        not_utf8.write_bytes(text[:-3] + b"\xff" + text[-3:])
+        files = {"HEADER_A_B_CSV": bad, "NOT_UTF8_CSV": not_utf8}
+        flags = [str(files.get(f, f)) for f in flags]  # a later --data wins
         model = [] if command in ("train", "sweep") else ["--model", str(trained_run / "model.json")]
         out = tmp_path / "out"
         rc = main([command, *model, "--data", str(data_csv), "--out", str(out), *flags])

@@ -5,6 +5,7 @@ import os
 import re
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ import pytest
 from kancredit import data
 from kancredit.data import (
     FEATURE_NAMES,
+    LABEL_NAME,
     Dataset,
     PreprocessPolicy,
     Scaler,
@@ -45,6 +47,11 @@ def _line(index, changes=(), columns=GMSC_COLUMNS):
     """One indexed data line, with the cells named in ``changes`` replaced."""
     cells = {**_GOOD_CELLS, **dict(changes)}
     return ",".join([str(index)] + [cells[c] for c in columns])
+
+
+def _write(path, lines, end="\n"):
+    """The lines as a file; a lone surrogate such as "\\udcff" is written as that one byte."""
+    path.write_bytes((end.join(lines) + end).encode("utf-8", "surrogateescape"))
 
 
 _HEADER = "," + ",".join(GMSC_COLUMNS)
@@ -89,7 +96,116 @@ MALFORMED = {
         ["," + ",".join(_REVERSED), _line(1, {"DebtRatio": "-1", "age": "x"}, _REVERSED)],
         "parse-error(row 2): not a number: 'x'",
     ),
+    "not-utf8": (
+        [_HEADER, _line(1), _line(2, {"age": "4\udcff5"})],
+        "parse-error(row 3): not UTF-8: invalid start byte 0xff",
+    ),
 }
+
+
+# cases where numpy's C reader and the row-by-row parse could part ways; None
+# where the file parses
+DISAGREE = {
+    "every-row-one-short": (
+        [_HEADER, _line(1).rsplit(",", 1)[0], _line(2).rsplit(",", 1)[0]],
+        "parse-error(row 2): expected 12 cells, got 11",
+    ),
+    "every-row-one-long": (
+        [_HEADER, _line(1) + ",0", _line(2) + ",0"],
+        "parse-error(row 2): expected 12 cells, got 13",
+    ),
+    "whitespace-only-line": (
+        [_HEADER, _line(1), "   ", _line(2)],
+        "parse-error(row 3): expected 12 cells, got 1",
+    ),
+    "lone-cr-blank-line": ([_HEADER, _line(1), "\r", _line(2)], None),
+    "lone-cr-ends-a-row": ([_HEADER, _line(1) + "\r" + _line(2), _line(3)], None),
+    "lone-cr-inside-a-cell": (
+        [_HEADER, _line(1, {"age": "4\r5"})],
+        "parse-error(row 2): expected 12 cells, got 4",
+    ),
+    "quoted-cell": ([_HEADER, _line(1, {"DebtRatio": '"0.3"'}), _line(2)], None),
+    "quoted-index": ([_HEADER, _line('"1"'), _line('"2"')], None),
+    "hash-in-a-cell": (
+        [_HEADER, _line(1, {"age": "4#5"})],
+        "parse-error(row 2): not a number: '4#5'",
+    ),
+    "hash-in-the-index": ([_HEADER, _line("#1"), _line(2)], None),
+    "trailing-comma": (
+        [_HEADER, _line(1), _line(2) + ","],
+        "parse-error(row 3): expected 12 cells, got 13",
+    ),
+    "inf-required": (
+        [_HEADER, _line(1, {"DebtRatio": "inf"})],
+        "parse-error(row 2): non-finite value: 'inf'",
+    ),
+    "nan-required": (
+        [_HEADER, _line(1, {"age": "nan"})],
+        "parse-error(row 2): missing value in required column",
+    ),
+    "Infinity-required": (
+        [_HEADER, _line(1, {"age": "Infinity"})],
+        "parse-error(row 2): non-finite value: 'Infinity'",
+    ),
+    "1e400-required": (
+        [_HEADER, _line(1, {"RevolvingUtilizationOfUnsecuredLines": "1e400"})],
+        "parse-error(row 2): non-finite value: '1e400'",
+    ),
+    "single-data-row": ([_HEADER, _line(1)], None),
+}
+
+# tokens for one cell; none holds a comma, a quote or a line end
+ODD_TOKENS = [
+    "0", "1", "12", " 12 ", "+12", "012", "-0", "-0.0", "+0", "0e0", "1e5", "1E5", ".5", "5.",
+    "2.5", "0.1", "0.30000000000000004", "4.9e-324", "1e-400", "1e400", "-1e400",
+    "123456789012345678901234567890", "-1", "2", "1_000", "1__0", "_1", "1_", "\u0661\u0662",
+    "\uff11\uff12", "\xa012\xa0", "\u200312", "\t12\t", "\x0c12", "\x0b12", "\u200b12", "0x10",
+    "1d5", "nan", "NaN", "+nan", "-nan", "\xa0na\xa0", "inf", "-inf", "+inf", "Infinity",
+    "iNfInItY", "infinit", "nan(1)", "na", "NA", "NULL", "null", "", " ", "--1", "1e", "e1",
+    "1.2.3", "12abc", "#12",
+]
+
+
+def _odd_rows(odd_optional):
+    """40 rows with the odd cells in both optional columns and "-0" or "-0.0" in three more."""
+    rows = make_gmsc_rows(40, seed=14)
+    income, dependents = GMSC_COLUMNS.index("MonthlyIncome"), GMSC_COLUMNS.index("NumberOfDependents")
+    for i, cell in enumerate(odd_optional):
+        rows[i][income] = cell
+        rows[-1 - i][dependents] = cell
+    for i in range(0, 39, 3):
+        rows[i][GMSC_COLUMNS.index("age")] = "-0"
+        rows[i + 1][GMSC_COLUMNS.index("NumberOfTimes90DaysLate")] = "-0"
+        rows[i + 2][GMSC_COLUMNS.index("DebtRatio")] = "-0.0"
+    return rows
+
+
+def _cell_by_cell(path):
+    """The file's schema columns through ``_parse_cell``, one cell at a time."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = [h.strip() for h in next(reader)]
+        cells = [(header.index(name), *spec) for name, *spec in data._COLUMNS]
+        return np.array([[_parse_cell(row[i], *spec, "ref") for i, *spec in cells] for row in reader])
+
+
+def _outcome(path):
+    """load_gmsc_csv's labels and raw bytes, or its error line."""
+    try:
+        table = load_gmsc_csv(path)
+    except ValueError as exc:
+        return str(exc)
+    return table.labels.tobytes(), table.raw.tobytes()
+
+
+def _strict_outcome(path):
+    """``_outcome`` with numpy's C reader refusing every file."""
+    def refuse(*args):
+        raise ValueError("refused")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(data, "_read_columns", refuse)
+        return _outcome(path)
 
 
 class TestLoadCsv:
@@ -179,7 +295,7 @@ class TestLoadCsv:
     )
     def test_malformed_file_message(self, tmp_path, lines, message):
         path = tmp_path / "bad.csv"
-        path.write_text("\n".join(lines) + "\n")
+        _write(path, lines)
         with pytest.raises(ValueError) as exc:
             load_gmsc_csv(path)
         assert str(exc.value) == message
@@ -187,15 +303,14 @@ class TestLoadCsv:
     @pytest.mark.parametrize(
         "lines, message", list(MALFORMED.values()), ids=list(MALFORMED)
     )
-    def test_malformed_message_from_a_later_block(self, tmp_path, monkeypatch, lines, message):
-        # three good rows, a blank line and a two-line quoted cell fill the
-        # first block; the case's rows start the second, 6 lines further on
-        monkeypatch.setattr(data, "_BLOCK_ROWS", 4)
+    def test_malformed_message_from_a_later_block(self, tmp_path, lines, message):
+        # three good rows, a blank line and a two-line quoted cell, which the
+        # C reader refuses, come first; the case's rows start 6 lines further on
         columns = lines[0].split(",")[1:]
         prefix = [_line(i, columns=columns) for i in (7, 8, 9)]
         prefix += ["", _line('"multi\nline"', columns=columns)]
         path = tmp_path / "bad.csv"
-        path.write_text("\n".join([lines[0], *prefix, *lines[1:]]) + "\n")
+        _write(path, [lines[0], *prefix, *lines[1:]])
         with pytest.raises(ValueError) as exc:
             load_gmsc_csv(path)
         assert str(exc.value) == re.sub(
@@ -204,7 +319,7 @@ class TestLoadCsv:
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs a named pipe")
     def test_malformed_message_from_a_pipe(self, tmp_path):
-        # a rejected block is parsed again, which a pipe cannot seek back to
+        # a file the C reader refuses is parsed again, which a pipe cannot seek back to
         lines, message = MALFORMED["blank-line-before-bad-row"]
         path = tmp_path / "pipe.csv"
         os.mkfifo(path)
@@ -225,6 +340,7 @@ class TestLoadCsv:
             load_gmsc_csv(path)
         assert str(exc.value) == "header-mismatch: duplicate columns ['age']"
 
+    @pytest.mark.filterwarnings("error")  # numpy warns of a file without data rows
     def test_header_only_file_is_empty_input(self, tmp_path):
         path = tmp_path / "header.csv"
         path.write_text(_HEADER + "\n")
@@ -232,42 +348,121 @@ class TestLoadCsv:
         assert len(table) == 0 and table.raw.shape == (0, 10)
         with pytest.raises(ValueError, match="empty-input"):
             preprocess(table)
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            load_gmsc_csv(path)
+        assert seen == []
 
     def test_blocks_equal_per_cell_parse_bit_for_bit(self, tmp_path, monkeypatch):
-        rows = make_gmsc_rows(40, seed=14)
-        income, dependents = GMSC_COLUMNS.index("MonthlyIncome"), GMSC_COLUMNS.index("NumberOfDependents")
-        odd_optional = [" 12 ", "1_000", " na ", "NULL", "", "NaN", "\xa07\xa0", "\u0661\u0662"]
-        for i, cell in enumerate(odd_optional):
-            rows[i][income] = cell
-            rows[-1 - i][dependents] = cell
-        for i in range(0, 39, 3):
-            rows[i][GMSC_COLUMNS.index("age")] = "-0"
-            rows[i + 1][GMSC_COLUMNS.index("NumberOfTimes90DaysLate")] = "-0"
-            rows[i + 2][GMSC_COLUMNS.index("DebtRatio")] = "-0.0"
-        rows[20][GMSC_COLUMNS.index("age")] = "\u0664\u0665"
+        # cells that numpy's C reader (or the optional columns' converter)
+        # takes: the file never reaches the row-by-row parse
+        rows = _odd_rows([" 12 ", " na ", "NULL", "", "NaN", "\xa07\xa0", "-0", "-0.0", " 1 "])
+        rows[20][GMSC_COLUMNS.index("age")] = "\u200345"
         rows[21][0] = " 1 "
         rows[22][1] = "\xa00.25"
         path = tmp_path / "odd.csv"
         write_gmsc_csv(path, rows)
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = [h.strip() for h in next(reader)]
-            cells = [(header.index(name), *spec) for name, *spec in data._COLUMNS]
-            expected = np.array(
-                [[_parse_cell(row[i], *spec, "ref") for i, *spec in cells] for row in reader]
-            )
-        # 40 rows in six blocks, none of them sent to the row-by-row parse
-        monkeypatch.setattr(data, "_BLOCK_ROWS", 7)
-        monkeypatch.setattr(data, "_parse_cell", lambda *args: pytest.fail("block rejected"))
+        expected = _cell_by_cell(path)
+        monkeypatch.setattr(data, "_parse_cell", lambda *args: pytest.fail("C reader refused"))
         table = load_gmsc_csv(path)
         assert table.labels.tobytes() == expected[:, 0].astype(np.int64).tobytes()
         assert table.raw.tobytes() == expected[:, 1:].tobytes()  # -0.0 signs included
         assert np.signbit(table.raw[:, FEATURE_NAMES.index("DebtRatio")]).sum() == 13
         assert not np.signbit(table.raw[:, FEATURE_NAMES.index("age")]).any()
+        assert np.signbit(table.raw[:, FEATURE_NAMES.index("MonthlyIncome")]).sum() == 2
+
+    @pytest.mark.parametrize("odd", ["1_000", "\u0661\u0662"], ids=["underscore", "arabic-indic"])
+    def test_cells_only_float_takes_fall_back_bit_for_bit(self, tmp_path, monkeypatch, odd):
+        # Python's float reads underscores and other scripts' digits; the C
+        # reader refuses them in a required column, so the file goes row by row
+        rows = _odd_rows([odd, " 12 ", "NULL"])
+        rows[20][GMSC_COLUMNS.index("age")] = odd
+        rows[21][GMSC_COLUMNS.index("DebtRatio")] = odd
+        path = tmp_path / "odd.csv"
+        write_gmsc_csv(path, rows)
+        expected = _cell_by_cell(path)
+        calls = []
+        monkeypatch.setattr(data, "_parse_cell", lambda *args: calls.append(1) or _parse_cell(*args))
+        table = load_gmsc_csv(path)
+        assert len(calls) == expected.size  # every cell, row by row
+        assert table.labels.tobytes() == expected[:, 0].astype(np.int64).tobytes()
+        assert table.raw.tobytes() == expected[:, 1:].tobytes()
+
+    @pytest.mark.parametrize("case", list(DISAGREE), ids=list(DISAGREE))
+    def test_cases_where_the_parsers_can_disagree(self, tmp_path, case):
+        lines, message = DISAGREE[case]
+        path = tmp_path / "case.csv"
+        _write(path, lines)
+        outcome = _outcome(path)
+        assert outcome == _strict_outcome(path)
+        if message is None:
+            assert isinstance(outcome, tuple)
+        else:
+            assert outcome == message
+
+    @pytest.mark.parametrize("column", [LABEL_NAME, "age", "DebtRatio", "MonthlyIncome", "NumberOfDependents"])
+    def test_tokens_the_c_reader_takes_parse_as_float_does(self, tmp_path, monkeypatch, column):
+        calls = []
+        monkeypatch.setattr(data, "_parse_cell", lambda *args: calls.append(1) or _parse_cell(*args))
+        spec = next(spec for name, *spec in data._COLUMNS if name == column)
+        for token in ODD_TOKENS:
+            path = tmp_path / "token.csv"
+            _write(path, [_HEADER, _line(1), _line(2, {column: token})])
+            calls.clear()
+            outcome = _outcome(path)
+            if not calls:  # the C reader took the file: float's bits, -0.0 signs included
+                value = _parse_cell(token, *spec, "ref")
+                assert isinstance(outcome, tuple), token
+                table = load_gmsc_csv(path)
+                cell = table.labels[1] if column == LABEL_NAME else table.raw[1, FEATURE_NAMES.index(column)]
+                assert np.float64(cell).tobytes() == np.float64(value).tobytes(), token
+            assert outcome == _strict_outcome(path), token
+
+    def test_quoted_two_line_header_takes_the_fast_path(self, tmp_path, monkeypatch):
+        rows = make_gmsc_rows(30, seed=16)
+        path = tmp_path / "quoted.csv"
+        write_gmsc_csv(path, rows)
+        expected = _outcome(path)
+        text = path.read_text()
+        path.write_text('"\n"' + text)  # the unnamed index column's name is a quoted line end
+        monkeypatch.setattr(data, "_parse_cell", lambda *args: pytest.fail("C reader refused"))
+        assert _outcome(path) == expected
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs a named pipe")
+    def test_pipe_takes_the_fast_path(self, tmp_path, monkeypatch):
+        rows = make_gmsc_rows(30, seed=17)
+        plain = tmp_path / "plain.csv"
+        write_gmsc_csv(plain, rows)
+        expected = _outcome(plain)
+        path = tmp_path / "pipe.csv"
+        os.mkfifo(path)
+        writer = threading.Thread(target=path.write_bytes, args=(plain.read_bytes(),), daemon=True)
+        writer.start()
+        monkeypatch.setattr(data, "_parse_cell", lambda *args: pytest.fail("C reader refused"))
+        try:
+            outcome = _outcome(path)
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert outcome == expected
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+    @pytest.mark.parametrize("quoted", [False, True], ids=["c-reader", "row-by-row"])
+    def test_bytes_not_utf8_past_the_first_chunk(self, tmp_path, end, quoted):
+        # far past the 8 KB that reading the header decodes, so numpy's C
+        # reader meets them first, or the row-by-row parse when a quoted
+        # cell on row 2 made the C reader refuse the file
+        lines = [_HEADER] + [_line(i) for i in range(1, 400)]
+        lines[300] = _line(300, {"age": "4\udcff5"})
+        if quoted:
+            lines[1] = _line(1, {"DebtRatio": '"0.3"'})
+        path = tmp_path / "bad.csv"
+        _write(path, lines, end)
+        assert _outcome(path) == "parse-error(row 301): not UTF-8: invalid start byte 0xff"
 
     def test_peak_memory_is_bounded(self, tmp_path):
-        # 80k rows make a 7 MB table; one Python float per cell peaked near
-        # 36 MB, one block of rows at a time stays near 23 MB
+        # 80k rows make a 7.7 MB array of the file's 12 columns, which the
+        # table views; one block of Python rows at a time peaked near 23 MB
         small = tmp_path / "small.csv"
         write_gmsc_csv(small, make_gmsc_rows(1000, seed=15))
         header, *body = small.read_text().splitlines(keepends=True)
@@ -280,7 +475,7 @@ class TestLoadCsv:
         finally:
             tracemalloc.stop()
         assert len(table) == 80_000
-        assert peak < 30e6, peak
+        assert peak < 15e6, peak
 
 
 class TestPreprocess:
