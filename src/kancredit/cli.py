@@ -149,8 +149,12 @@ _KEYS = {
 
 
 def _read_config(path):
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"invalid-config: {path} is not text: {exc}") from None
     pairs = []
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -176,7 +180,12 @@ def _resolve(command: str, ns) -> dict:
                 continue
             if name not in by_name:
                 raise ValueError(f"invalid-config: unknown key {name!r} for {command}")
-            values[name] = None if raw == _NONE_TOKEN else by_name[name].convert(raw)
+            try:
+                values[name] = None if raw == _NONE_TOKEN else by_name[name].convert(raw)
+            except ValueError as exc:
+                if str(exc).startswith("invalid-config: "):  # already coded
+                    raise
+                raise ValueError(f"invalid-config: {name}={raw} in {ns.config}: {exc}") from None
     for key in keys:
         flag = getattr(ns, key.name)
         if flag is not None:

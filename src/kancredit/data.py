@@ -237,7 +237,8 @@ def load_gmsc_csv(path) -> RawTable:
     with open(path, "rb") as stream:
         if not stream.seekable():  # a pipe: hold its bytes, so a refused fast read can start over
             stream = io.BytesIO(stream.read())
-        fh = io.TextIOWrapper(stream, encoding="utf-8", newline="")  # lives until the file closes
+        # utf-8-sig drops a leading byte-order mark, after a seek(0) too
+        fh = io.TextIOWrapper(stream, encoding="utf-8-sig", newline="")  # lives until the file closes
         try:
             table = _parse_table(fh)
         except UnicodeDecodeError:

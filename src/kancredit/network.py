@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import json
 import os
-import queue
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -36,6 +35,7 @@ from kancredit.splines import (
     KnotVector,
     SplineParams,
     _band_dot,
+    _check_grid,
     basis_values,
     knot_span,
     make_knot_vector,
@@ -64,14 +64,14 @@ __all__ = [
 
 # samples per chunk; bounds the (chunk, n_out, n_in) temporaries.  Chunked
 # results are merged in chunk order, so they depend on this grid and never on
-# how many threads ran the chunks; two 8192-row chunks in flight (see
-# _chunk_map) take about the memory one 16384-row chunk did.
+# how many threads ran the chunks; with a helper thread of the call, joined
+# before it returns (see _chunk_map), two 8192-row chunks in flight take about
+# the memory one 16384-row chunk did.
 CHUNK = 8192
 
-# the one extra thread a process runs chunks on, as (pid, executor), made on
-# first use: a forked child inherits the executor but not its thread, so it
-# makes its own; and the lock a caller holds while it uses that thread
-_HELPER = (None, None)
+# held while a helper thread of a call runs (it is joined before that call
+# returns), so at most one helper is alive; a call that finds it held runs its
+# chunks alone
 _HELPER_IN_USE = threading.Lock()
 
 COEF_INIT_SCALE = 0.1
@@ -151,51 +151,31 @@ class ForwardTrace:
 
 
 def _chunk_map(func, starts) -> list:
-    """``[func(lo) for lo in starts]``, shared between this thread and a helper thread.
+    """``[func(lo) for lo in starts]``, shared between this thread and a helper thread of the call.
 
-    Both threads take chunk indices from one queue, and the results come back
-    in chunk order.  The helper joins only for two or more chunks on a
-    multi-CPU host, and only when no other caller has it; a caller that finds
-    it busy runs every chunk itself, so concurrent callers never wait on each
-    other.  The helper runs its chunks under the caller's numpy error state.
-    A chunk that raises stops the queue, and the error reaches the caller
-    after the helper has finished.
+    For two or more chunks on a multi-CPU host, the call starts one helper
+    thread, which runs every second chunk under the caller's numpy error
+    state while the caller runs the others, and joins it before it returns
+    or raises; the results come back in chunk order.  A caller that finds
+    another call's helper running runs every chunk itself, so concurrent
+    callers never wait on each other.  A chunk that raises does not stop the
+    other thread's chunks: the error reaches the caller once both are done.
     """
-    global _HELPER
     starts = list(starts)
     if len(starts) < 2 or (os.cpu_count() or 1) < 2 or not _HELPER_IN_USE.acquire(blocking=False):
         return [func(lo) for lo in starts]
     try:
-        results = [None] * len(starts)
-        todo = queue.SimpleQueue()
-        for i in range(len(starts)):
-            todo.put(i)
-        stop = threading.Event()
+        errors = np.geterr()
 
-        def drain():
-            while not stop.is_set():
-                try:
-                    i = todo.get_nowait()
-                except queue.Empty:
-                    return
-                try:
-                    results[i] = func(starts[i])
-                except BaseException:
-                    stop.set()
-                    raise
-
-        def helper_drain(errors):
+        def helper_chunks():
             with np.errstate(**errors):
-                drain()
+                return [func(lo) for lo in starts[1::2]]
 
-        if _HELPER[0] != os.getpid():
-            _HELPER = (os.getpid(), ThreadPoolExecutor(1, thread_name_prefix="kancredit-chunk"))
-        helper = _HELPER[1].submit(helper_drain, np.geterr())
-        try:
-            drain()
-        finally:
-            helper.exception()  # waits: no chunk outlives the call
-        helper.result()
+        with ThreadPoolExecutor(1, thread_name_prefix="kancredit-chunk") as pool:
+            helper = pool.submit(helper_chunks)
+            mine = [func(lo) for lo in starts[::2]]
+        results = [None] * len(starts)
+        results[::2], results[1::2] = mine, helper.result()
         return results
     finally:
         _HELPER_IN_USE.release()
@@ -212,14 +192,19 @@ def _param_views(buffer: np.ndarray, widths, n_basis: int) -> list:
     return views
 
 
-def _zero_network(widths, grid_count, degree, seed, range_min, range_max) -> KanNetwork:
-    """A network over a zeroed parameter buffer, its layers viewing into it."""
+def _edge_count(widths) -> int:
+    """The number of edges between layers of these widths, once the widths are checked."""
     if len(widths) < 2 or any(w < 1 for w in widths):
         raise ValueError(f"invalid-widths: need >= 2 positive layer widths, got {widths}")
     if widths[-1] != 1:
         raise ValueError(f"invalid-widths: output width must be 1, got {widths[-1]}")
+    return sum(n_in * n_out for n_in, n_out in zip(widths[:-1], widths[1:]))
+
+
+def _zero_network(widths, grid_count, degree, seed, range_min, range_max) -> KanNetwork:
+    """A network over a zeroed parameter buffer, its layers viewing into it."""
+    edges = _edge_count(widths)
     kv = make_knot_vector(range_min, range_max, grid_count, degree)
-    edges = sum(n_in * n_out for n_in, n_out in zip(widths[:-1], widths[1:]))
     params = np.zeros(edges * (2 + kv.n_basis))
     layers = [
         KanLayer(n_in=n_in, n_out=n_out, knots=kv, w_b=w_b, w_s=w_s, coef=coef)
@@ -427,6 +412,13 @@ def load_network(path) -> KanNetwork:
     widths = _entry(payload, path, "widths", int, many=True)
     grid_count, degree, seed = (_entry(payload, path, k, int) for k in ("grid_count", "degree", "seed"))
     range_min, range_max = (_entry(payload, path, k, float) for k in ("range_min", "range_max"))
+    # the shape is checked against the parameters before anything is allocated for it:
+    # each edge has w_b, w_s and grid_count + degree spline coefficients
+    size = _edge_count(widths) * (2 + grid_count + degree)
+    _check_grid(range_min, range_max, grid_count, degree)
+    params = _entry(payload, path, "params", float, many=True)
+    if params.size != size:
+        raise ValueError(f"length-mismatch: expected {size} parameters, got {params.shape}")
     net = _zero_network(widths, grid_count, degree, seed, range_min, range_max)
-    set_params(net, _entry(payload, path, "params", float, many=True))
+    set_params(net, params)
     return net

@@ -68,10 +68,8 @@ class SplineParams:
     coefficients: np.ndarray
 
 
-def make_knot_vector(
-    range_min: float, range_max: float, grid_count: int, degree: int
-) -> KnotVector:
-    """Build the uniform extended knot vector for a grid of ``grid_count`` intervals."""
+def _check_grid(range_min, range_max, grid_count, degree) -> None:
+    """The checks ``make_knot_vector`` makes before it allocates anything."""
     if not range_min < range_max:
         raise ValueError(
             f"invalid-range: need range_min < range_max, got [{range_min}, {range_max}]"
@@ -80,6 +78,13 @@ def make_knot_vector(
         raise ValueError(f"invalid-grid: grid_count must be >= 1, got {grid_count}")
     if degree < 0:
         raise ValueError(f"invalid-degree: degree must be >= 0, got {degree}")
+
+
+def make_knot_vector(
+    range_min: float, range_max: float, grid_count: int, degree: int
+) -> KnotVector:
+    """Build the uniform extended knot vector for a grid of ``grid_count`` intervals."""
+    _check_grid(range_min, range_max, grid_count, degree)
     h = (range_max - range_min) / grid_count
     knots = range_min + h * np.arange(-degree, grid_count + degree + 1)
     return KnotVector(

@@ -24,8 +24,9 @@ full-batch training on hundreds of thousands of rows stays inside a small
 memory budget.  Each chunk's loss sum and gradient go into buffers of their
 own, which are added up in chunk order: the result depends on the grid and
 never on the threads.  A batch of two or more chunks runs on the calling
-thread and at most one extra, process-wide helper thread (``_chunk_map``);
-a batch of one chunk, such as a 4096-row minibatch, never leaves the caller.
+thread and a helper thread of the call, joined before it returns
+(``_chunk_map``); a batch of one chunk, such as a 4096-row minibatch, never
+leaves the caller.
 """
 
 from __future__ import annotations
@@ -170,7 +171,8 @@ def backward(net: KanNetwork, batch_x, batch_y):
     """Mean BCE loss and its gradient in canonical parameter order.
 
     Each chunk's loss sum and gradient are computed in buffers of their own,
-    on up to two threads, and added up in chunk order.
+    on the calling thread and a helper thread of the call, joined before it
+    returns, and added up in chunk order.
     """
     x, y = _check_batch(net, batch_x, batch_y)
     n_total = x.shape[0]

@@ -71,12 +71,28 @@ class TestTrain:
         rc = main(["train", "--data", str(data_csv), "--out", str(tmp_path), "--bogus"])
         assert rc == 2
 
-    def test_bad_config_value_exits_2(self, data_csv, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "body, named",
+        [
+            (b"width=ten,one\n", "width must be comma-separated integers, got 'ten,one'"),
+            (b"grid=abc\n", "grid=abc in CFG: "),
+            (b"lr=abc\n", "lr=abc in CFG: "),
+            (b"seed=1.5\n", "seed=1.5 in CFG: "),
+            (b"dump_data=maybe\n", "expected a boolean, got 'maybe'"),
+            (b"grid=5\nk=\xff\n", "CFG is not text: "),
+        ],
+        ids=["width", "grid", "lr", "seed", "dump_data", "not-utf8"],
+    )
+    def test_bad_config_value_exits_2(self, body, named, data_csv, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
-        cfg.write_text("width=ten,one\n")
-        rc = main(["train", "--config", str(cfg), "--data", str(data_csv), "--out", str(tmp_path / "o")])
+        cfg.write_bytes(body)
+        out = tmp_path / "o"
+        rc = main(["train", "--config", str(cfg), "--data", str(data_csv), "--out", str(out)])
         assert rc == 2
-        assert "invalid-config" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: invalid-config: " + named.replace("CFG", str(cfg)))
+        assert not out.exists()
 
     def test_dump_data_writes_processed_csvs(self, data_csv, tmp_path):
         out = tmp_path / "dump"
@@ -469,6 +485,23 @@ class TestNoOutputOnBadInput:
         rc = main(["train", "--data", str(data_csv), "--out", str(out), "--lr", "1e300"])
         assert rc == 2
         assert capsys.readouterr().err == "error: diverged: step 2\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "changes",
+        [{"widths": [1000000, 1000000, 1]}, {"degree": 1000000000}, {"widths": [10**30, 1]}],
+        ids=["wide-layers", "high-degree", "huge-width"],
+    )
+    def test_checkpoint_shape_is_checked_before_allocating(self, changes, trained_run, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        payload = json.loads((trained_run / "model.json").read_text())
+        model.write_text(json.dumps(payload | changes))
+        out = tmp_path / "out"
+        rc = main(["curves", "--model", str(model), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert re.match(r"error: length-mismatch: expected \d+ parameters, got \(\d+,\)$", err)
         assert not out.exists()
 
     @pytest.mark.parametrize(

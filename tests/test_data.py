@@ -460,6 +460,21 @@ class TestLoadCsv:
         _write(path, lines, end)
         assert _outcome(path) == "parse-error(row 301): not UTF-8: invalid start byte 0xff"
 
+    @pytest.mark.parametrize("quoted", [False, True], ids=["c-reader", "row-by-row"])
+    def test_byte_order_mark_is_dropped(self, tmp_path, quoted):
+        # spreadsheet exports often start a UTF-8 file with one; a quoted
+        # cell makes the C reader refuse the file, so it is read again
+        lines = [_HEADER] + [_line(i) for i in range(1, 6)]
+        if quoted:
+            lines[1] = _line(1, {"DebtRatio": '"0.3"'})
+        for last, want in ((_line(5), None), (_line(5, {"age": "x"}), "parse-error(row 6): not a number: 'x'")):
+            plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+            _write(plain, [*lines[:-1], last])
+            _write(marked, ["\ufeff" + lines[0], *lines[1:-1], last])
+            outcome = _outcome(plain)
+            assert _outcome(marked) == outcome == _strict_outcome(marked)
+            assert isinstance(outcome, tuple) if want is None else outcome == want
+
     def test_peak_memory_is_bounded(self, tmp_path):
         # 80k rows make a 7.7 MB array of the file's 12 columns, which the
         # table views; one block of Python rows at a time peaked near 23 MB

@@ -297,6 +297,31 @@ class TestChunkHelper:
         helpers = [t for t in threading.enumerate() if t.name.startswith("kancredit-chunk")]
         assert len(helpers) <= 1
 
+    def test_no_helper_thread_outlives_a_call(self, monkeypatch):
+        def helpers():
+            return [t for t in threading.enumerate() if t.name.startswith("kancredit-chunk")]
+
+        net, x, y = _chunked_problem(8)
+        helper_ran = threading.Event()
+        with monkeypatch.context() as m:
+            m.setattr(ktraining, "_layer_batch", _shared_with_the_helper(_layer_batch, helper_ran))
+            backward(net, x, y)
+        assert helper_ran.is_set() and helpers() == []
+        caller = threading.current_thread()
+        for raise_on_caller in (True, False):
+            ran_on_caller = set()
+
+            def chunk(lo):
+                on_caller = threading.current_thread() is caller
+                ran_on_caller.add(on_caller)
+                if on_caller == raise_on_caller:
+                    raise FloatingPointError(f"chunk {lo} failed")
+                return lo
+
+            with pytest.raises(FloatingPointError):
+                _chunk_map(chunk, range(4))
+            assert ran_on_caller == {True, False} and helpers() == []
+
 
 class TestGradCheck:
     def test_zero_net_tiny_batch(self):
