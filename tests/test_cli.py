@@ -489,7 +489,8 @@ class TestNoOutputOnBadInput:
 
     @pytest.mark.parametrize(
         "changes",
-        [{"widths": [1000000, 1000000, 1]}, {"degree": 1000000000}, {"widths": [10**30, 1]}],
+        # a degree of 10**12 asks for terabytes, so an allocation made before the check fails at once
+        [{"widths": [1000000, 1000000, 1]}, {"degree": 10**12}, {"widths": [10**30, 1]}],
         ids=["wide-layers", "high-degree", "huge-width"],
     )
     def test_checkpoint_shape_is_checked_before_allocating(self, changes, trained_run, tmp_path, capsys):

@@ -303,9 +303,8 @@ class TestChunkHelper:
 
         net, x, y = _chunked_problem(8)
         helper_ran = threading.Event()
-        with monkeypatch.context() as m:
-            m.setattr(ktraining, "_layer_batch", _shared_with_the_helper(_layer_batch, helper_ran))
-            backward(net, x, y)
+        monkeypatch.setattr(ktraining, "_layer_batch", _shared_with_the_helper(_layer_batch, helper_ran))
+        backward(net, x, y)
         assert helper_ran.is_set() and helpers() == []
         caller = threading.current_thread()
         for raise_on_caller in (True, False):
