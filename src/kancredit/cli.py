@@ -11,12 +11,13 @@ and checked: a run that fails on its data, checkpoint or settings leaves
 
 Exit codes: 0 success, 1 internal error, 2 usage or data error. Data and
 configuration failures print one ``error: <code>: <detail>`` line to stderr,
-where ``<code>`` is the machine-readable prefix carried by the exception.
+where ``<code>`` is the machine-readable prefix carried by the exception. A
+bad flag or config value gives one ``invalid-config`` line naming the setting
+and where it came from: ``--grid abc`` or ``grid=abc in <file>``.
 """
 
 import argparse
 import sys
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -53,12 +54,9 @@ _NONE_TOKEN = "none"
 
 def _parse_width(text: str):
     try:
-        widths = tuple(int(p) for p in text.split(","))
+        return tuple(int(p) for p in text.split(","))
     except ValueError:
-        raise ValueError(
-            f"invalid-config: width must be comma-separated integers, got {text!r}"
-        ) from None
-    return widths
+        raise ValueError("expected comma-separated integers") from None
 
 
 def _parse_bool(text: str) -> bool:
@@ -67,12 +65,12 @@ def _parse_bool(text: str) -> bool:
         return True
     if low in ("false", "0", "no"):
         return False
-    raise ValueError(f"invalid-config: expected a boolean, got {text!r}")
+    raise ValueError("expected a boolean")
 
 
 def _parse_split_name(text: str) -> str:
     if text not in ("train", "test"):
-        raise ValueError(f"invalid-config: split must be 'train' or 'test', got {text!r}")
+        raise ValueError("expected 'train' or 'test'")
     return text
 
 
@@ -166,10 +164,10 @@ def _read_config(path):
 
 
 def _resolve(command: str, ns) -> dict:
-    """Merge defaults, the optional config file, and explicit flags."""
-    keys = _KEYS[command]
-    by_name = {k.name: k for k in keys}
-    values = {k.name: k.default for k in keys}
+    """Merge defaults, config file and flags; the one place setting text becomes a value."""
+    keys = {k.name: k for k in _KEYS[command]}
+    values = {name: k.default for name, k in keys.items()}
+    texts = []  # (name, text, source), config lines first so that flags win
     if ns.config is not None:
         for name, raw in _read_config(ns.config):
             if name == "command":
@@ -178,21 +176,23 @@ def _resolve(command: str, ns) -> dict:
                         f"invalid-config: config file is for {raw!r}, not {command!r}"
                     )
                 continue
-            if name not in by_name:
+            if name not in keys:
                 raise ValueError(f"invalid-config: unknown key {name!r} for {command}")
-            try:
-                values[name] = None if raw == _NONE_TOKEN else by_name[name].convert(raw)
-            except ValueError as exc:
-                if str(exc).startswith("invalid-config: "):  # already coded
-                    raise
-                raise ValueError(f"invalid-config: {name}={raw} in {ns.config}: {exc}") from None
-    for key in keys:
-        flag = getattr(ns, key.name)
+            text = None if raw == _NONE_TOKEN else raw  # only a config line can unset a key
+            texts.append((name, text, f"{name}={raw} in {ns.config}"))
+    for name in keys:
+        flag = getattr(ns, name)
         if flag is not None:
-            values[key.name] = flag
-    for key in keys:
-        if key.required and values[key.name] is None:
-            raise ValueError(f"invalid-config: {command} needs a value for {key.name!r}")
+            text = _fmt(flag)  # --dump-data is a switch that stores True
+            texts.append((name, text, f"--{name.replace('_', '-')} {text}"))
+    try:
+        for name, text, source in texts:
+            values[name] = None if text is None else keys[name].convert(text)
+    except ValueError as exc:
+        raise ValueError(f"invalid-config: {source}: {exc}") from None
+    for name, key in keys.items():
+        if key.required and values[name] is None:
+            raise ValueError(f"invalid-config: {command} needs a value for {name!r}")
     return values
 
 
@@ -396,15 +396,13 @@ def _sweep_cell(values, train_ds, test_ds):
     The cell manifest is a complete `train` manifest, so any cell can be
     reproduced standalone with `kancredit train --config <cell>/manifest.txt`.
     """
-    started = time.perf_counter()
-    net, _ = train(train_ds, _train_config(values))
-    seconds = time.perf_counter() - started
+    net, report = train(train_ds, _train_config(values))
     cell_dir = _out_dir(values)
     save_network(net, cell_dir / "model.json")
     metrics, _ = _metric_report(net, test_ds, "test")
     _write_kv(cell_dir / "metrics.txt", metrics)
     _write_kv(cell_dir / "manifest.txt", values, "train")
-    return metrics["roc_auc"], metrics["class0_f1"], seconds
+    return metrics["roc_auc"], metrics["class0_f1"], report.seconds
 
 
 def cmd_sweep(ns) -> int:
@@ -513,7 +511,7 @@ def _build_parser() -> argparse.ArgumentParser:
                 p.add_argument(flag, dest=key.name, action="store_true", default=None,
                                help=key.help)
             else:
-                p.add_argument(flag, dest=key.name, type=key.convert, help=key.help)
+                p.add_argument(flag, dest=key.name, help=key.help)
         p.set_defaults(func=func)
     return parser
 

@@ -12,6 +12,7 @@ import pytest
 import kancredit.cli as kcli
 import kancredit.training as ktraining
 from kancredit.cli import _KEYS, main
+from kancredit.data import load_gmsc_csv, preprocess, split
 from kancredit.network import load_network
 
 from conftest import make_gmsc_rows, write_gmsc_csv
@@ -74,14 +75,16 @@ class TestTrain:
     @pytest.mark.parametrize(
         "body, named",
         [
-            (b"width=ten,one\n", "width must be comma-separated integers, got 'ten,one'"),
+            (b"width=ten,one\n", "width=ten,one in CFG: expected comma-separated integers"),
             (b"grid=abc\n", "grid=abc in CFG: "),
             (b"lr=abc\n", "lr=abc in CFG: "),
             (b"seed=1.5\n", "seed=1.5 in CFG: "),
-            (b"dump_data=maybe\n", "expected a boolean, got 'maybe'"),
+            (b"dump_data=maybe\n", "dump_data=maybe in CFG: expected a boolean"),
             (b"grid=5\nk=\xff\n", "CFG is not text: "),
+            (b"grid=5\nsteps\n", "line 2 of CFG is not key=value"),
+            (b"grid=5\nbogus=1\n", "unknown key 'bogus' for train"),
         ],
-        ids=["width", "grid", "lr", "seed", "dump_data", "not-utf8"],
+        ids=["width", "grid", "lr", "seed", "dump_data", "not-utf8", "not-key-value", "unknown-key"],
     )
     def test_bad_config_value_exits_2(self, body, named, data_csv, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -139,6 +142,16 @@ class TestManifestReproducibility:
         )
         assert manifest["steps"] == "6"
 
+    def test_config_skips_comments_and_blank_lines(self, trained_run, tmp_path):
+        cfg = tmp_path / "curves.cfg"
+        cfg.write_text("# points=9 is commented out\n\n   \npoints=3\n")
+        out = tmp_path / "cur"
+        rc = main(["curves", "--config", str(cfg), "--model", str(trained_run / "model.json"),
+                   "--out", str(out)])
+        assert rc == 0
+        assert "points=3" in (out / "manifest.txt").read_text().splitlines()
+        assert len((out / "curves.csv").read_text().splitlines()) == 1 + 10 * 3
+
     def test_config_for_other_command_rejected(self, trained_run, data_csv, tmp_path, capsys):
         rc = main(
             ["eval", "--config", str(trained_run / "manifest.txt"),
@@ -180,6 +193,18 @@ class TestEval:
             for line in (trained_run / "metrics_test.txt").read_text().splitlines()
         )
         assert eval_pairs["roc_auc"] == train_pairs["roc_auc"]
+
+    def test_on_train_scores_the_training_split(self, trained_run, data_csv, tmp_path):
+        out = tmp_path / "eval"
+        rc = main(
+            ["eval", "--model", str(trained_run / "model.json"),
+             "--data", str(data_csv), "--out", str(out), "--on", "train"]
+        )
+        assert rc == 0
+        pairs = dict(line.split("=", 1) for line in (out / "metrics.txt").read_text().splitlines())
+        train_ds, _ = split(preprocess(load_gmsc_csv(data_csv)), 0.2, 42)
+        assert pairs["split"] == "train"
+        assert int(pairs["n_samples"]) == len(train_ds)
 
     def test_rerun_is_byte_identical(self, trained_run, data_csv, tmp_path):
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -522,6 +547,10 @@ class TestNoOutputOnBadInput:
             ("train", ["--lr", "1e300"], "diverged"),
             ("train", ["--test-fraction", "0.999"], "empty-split"),
             ("train", ["--data", "NOT_UTF8_CSV"], "parse-error(row 401)"),
+            ("train", ["--grid", "abc"], "invalid-config"),
+            ("train", ["--width", "10,x"], "invalid-config"),
+            ("train", ["--lr", "abc"], "invalid-config"),
+            ("eval", ["--on", "x"], "invalid-config"),
         ],
     )
     def test_bad_value_is_one_coded_line(self, command, flags, code, data_csv, trained_run, tmp_path, capsys):
@@ -543,6 +572,45 @@ class TestNoOutputOnBadInput:
         assert not out.exists()
 
 
+def _typed_settings():
+    """Every setting whose text is converted, by config line and, unless a switch, by flag."""
+    for command, keys in _KEYS.items():
+        for key in keys:
+            if key.convert is str:
+                continue
+            yield pytest.param(command, key.name, "config", id=f"{command}-{key.name}-config")
+            if key.convert is not kcli._parse_bool:  # --dump-data is a switch and takes no text
+                yield pytest.param(command, key.name, "flag", id=f"{command}-{key.name}-flag")
+
+
+class TestEveryTypedSetting:
+    @pytest.mark.parametrize("command, name, given", list(_typed_settings()))
+    def test_bad_text_is_one_line_naming_the_setting(
+        self, command, name, given, trained_run, data_csv, tmp_path, capsys
+    ):
+        out = tmp_path / "out"
+        inputs = {"model": trained_run / "model.json", "data": data_csv, "out": out}
+        argv = [command]
+        for key in _KEYS[command]:
+            if key.name in inputs:
+                argv += ["--" + key.name, str(inputs[key.name])]
+        flag = "--" + name.replace("_", "-")
+        if given == "flag":
+            argv += [flag, "bad"]
+            source = f"{flag} bad"
+        else:
+            cfg = tmp_path / "bad.cfg"
+            cfg.write_text(f"{name}=bad\n")
+            argv += ["--config", str(cfg)]
+            source = f"{name}=bad in {cfg}"
+        rc = main(argv)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: invalid-config: {source}: ")
+        assert not out.exists()
+
+
 class TestUsageErrors:
     def test_no_command_exits_2(self):
         assert main([]) == 2
@@ -554,6 +622,17 @@ class TestUsageErrors:
         rc = main(["train"])
         assert rc == 2
         assert "invalid-config" in capsys.readouterr().err
+
+    def test_internal_error_exits_1(self, trained_run, tmp_path, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise RuntimeError("unexpected")
+
+        monkeypatch.setattr(kcli, "sample_activation_curves", fail)
+        out = tmp_path / "cur"
+        rc = main(["curves", "--model", str(trained_run / "model.json"), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: internal-error: unexpected\n"
+        assert not out.exists()
 
     def test_help_exits_0(self, capsys):
         assert main(["--help"]) == 0

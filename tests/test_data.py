@@ -290,6 +290,12 @@ class TestLoadCsv:
         with pytest.raises(OSError):
             load_gmsc_csv(tmp_path / "absent.csv")
 
+    def test_zero_byte_file(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_bytes(b"")
+        with pytest.raises(ValueError, match=r"^header-mismatch: file is empty$"):
+            load_gmsc_csv(path)
+
     @pytest.mark.parametrize(
         "lines, message", list(MALFORMED.values()), ids=list(MALFORMED)
     )
@@ -523,6 +529,10 @@ class TestPreprocess:
         np.testing.assert_allclose(out[0][span], -1.0, atol=0)
         np.testing.assert_allclose(out[1][span], 1.0, atol=0)
 
+    def test_policy_bounds_out_of_order(self):
+        with pytest.raises(ValueError, match=r"^invalid-policy: "):
+            PreprocessPolicy(0.9, 0.1)
+
     def test_scaler_equals_longhand_bit_for_bit(self, gmsc_csv):
         raw = load_gmsc_csv(gmsc_csv).raw.copy()
         raw[:, FEATURE_NAMES.index("age")] = 45.0  # a column with zero span
@@ -666,6 +676,10 @@ class TestSplit:
         train, test = split(ds, 0.25, seed=6)
         assert len(train) + len(test) == 40
         assert train.features.shape[1] == 3
+
+    def test_array_dataset_shape_mismatch(self):
+        with pytest.raises(ValueError, match=r"^dimension-mismatch: "):
+            dataset_from_arrays(np.zeros((4, 3)), np.zeros(5))
 
 
 class TestAuditOutputs:

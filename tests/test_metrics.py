@@ -83,6 +83,8 @@ class TestConfusion:
             confusion_at_threshold(np.zeros(2), np.array([0, 2]), 0.5)
         with pytest.raises(ValueError, match="invalid-threshold"):
             confusion_at_threshold(np.zeros(2), np.array([0, 1]), np.nan)
+        with pytest.raises(ValueError, match="invalid-label: positive_class"):
+            confusion_at_threshold(np.zeros(2), np.array([0, 1]), 0.5, positive_class=2)
 
 
 class TestPrecisionRecallF1:

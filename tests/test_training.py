@@ -171,6 +171,8 @@ class TestBackward:
             backward(net, np.zeros((0, 4)), np.zeros(0))
         with pytest.raises(ValueError, match="invalid-label"):
             backward(net, np.zeros((2, 4)), np.array([0.0, 0.5]))
+        with pytest.raises(ValueError, match=r"dimension-mismatch: labels \(3,\) do not match 2 rows"):
+            backward(net, np.zeros((2, 4)), np.zeros(3))
 
 
 def _chunked_problem(seed, rows=40):
@@ -403,6 +405,10 @@ class TestAdamStep:
         with pytest.raises(ValueError, match="length-mismatch"):
             adam_step(np.zeros(3), np.zeros(2), AdamState.zeros(3), 1, self.cfg())
 
+    def test_step_zero_rejected(self):
+        with pytest.raises(ValueError, match=r"^invalid-step: t must be >= 1, got 0$"):
+            adam_step(np.zeros(2), np.zeros(2), AdamState.zeros(2), 0, self.cfg())
+
 
 class TestTrainLoop:
     def test_separable_toy_reaches_low_loss(self, toy_dataset):
@@ -448,6 +454,12 @@ class TestTrainLoop:
         _, report = train(toy_dataset, cfg)
         tail = report.loss_history[10:]
         assert np.all(np.diff(tail) <= 1e-9)
+
+    def test_zero_rows_rejected(self):
+        ds = SimpleNamespace(features=np.zeros((0, 2)), labels=np.zeros(0))
+        cfg = TrainConfig(widths=(2, 1), grid_count=5, degree=3, steps=1, seed=0)
+        with pytest.raises(ValueError, match=r"^empty-batch: dataset has no rows$"):
+            train(ds, cfg)
 
     def test_single_class_warns_but_trains(self, toy_dataset):
         ds = SimpleNamespace(
