@@ -1,20 +1,20 @@
-"""Logistic-regression reference model sharing the package's optimizer.
+"""Logistic-regression reference model sharing the networks' fit loop.
 
 The point of this module is comparability, not novelty: the baseline is
-trained with the exact same Adam update as the spline networks, on the same
+trained by the same fit loop as the spline networks (``training._fit``: the
+same input checks, Adam update and ``diverged`` stop), on the same
 preprocessed features, so score differences between the two model families
 cannot be blamed on optimizer details.
 """
 
 import json
-import time
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .network import _entry, _read_checkpoint, sigmoid
-from .training import AdamState, TrainConfig, _bce_terms, adam_step
+from .training import TrainConfig, _bce_terms, _fit
 
 __all__ = [
     "LogisticModel",
@@ -43,30 +43,19 @@ def train_logistic(dataset, learning_rate: float = 0.1, steps: int = 100):
 
     ``dataset`` is anything with ``.features`` (n, d) and ``.labels`` (n,).
     Returns ``(model, loss_history, seconds)``; the zero start makes the fit
-    deterministic.
+    deterministic.  It runs the networks' fit loop, so the same inputs are
+    refused and a non-finite step stops it with ``diverged: step N``.
     """
-    x = np.asarray(dataset.features, dtype=np.float64)
-    y = np.asarray(dataset.labels, dtype=np.float64)
-    n, d = x.shape
-    if n == 0:
-        raise ValueError("empty-batch: dataset has no rows")
+    d = np.shape(dataset.features)[-1]
+
+    def loss_and_grad(params, x, y):
+        z = x @ params[:d] + params[d]
+        residual = (sigmoid(z) - y) / x.shape[0]
+        return np.mean(_bce_terms(z, y)), np.concatenate([x.T @ residual, [residual.sum()]])
 
     cfg = TrainConfig(learning_rate=learning_rate, steps=steps)
-    params = np.zeros(d + 1)
-    state = AdamState.zeros(d + 1)
-    history = np.empty(steps)
-
-    started = time.perf_counter()
-    for t in range(1, steps + 1):
-        z = x @ params[:d] + params[d]
-        history[t - 1] = float(np.mean(_bce_terms(z, y)))
-        residual = (sigmoid(z) - y) / n
-        grads = np.concatenate([x.T @ residual, [residual.sum()]])
-        params, state = adam_step(params, grads, state, t, cfg)
-    seconds = time.perf_counter() - started
-
-    model = LogisticModel(weights=params[:d].copy(), bias=float(params[d]))
-    return model, history, seconds
+    params, history, seconds = _fit(dataset, np.zeros(d + 1), loss_and_grad, cfg)
+    return LogisticModel(weights=params[:d].copy(), bias=float(params[d])), history, seconds
 
 
 def logistic_predict(model: LogisticModel, x) -> float:

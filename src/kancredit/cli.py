@@ -13,7 +13,8 @@ Exit codes: 0 success, 1 internal error, 2 usage or data error. Data and
 configuration failures print one ``error: <code>: <detail>`` line to stderr,
 where ``<code>`` is the machine-readable prefix carried by the exception. A
 bad flag or config value gives one ``invalid-config`` line naming the setting
-and where it came from: ``--grid abc`` or ``grid=abc in <file>``.
+and where it came from: ``--grid abc`` or ``grid=abc in <file>``. A flag that
+takes a value takes the next argument, even one that starts with ``-``.
 """
 
 import argparse
@@ -83,6 +84,10 @@ class _Key:
     default: object = None
     required: bool = False
     help: str | None = None
+
+    @property
+    def flag(self) -> str:
+        return "--" + self.name.replace("_", "-")
 
 
 # every subcommand's settings, in --help order; the parser is built from them
@@ -170,21 +175,22 @@ def _resolve(command: str, ns) -> dict:
     texts = []  # (name, text, source), config lines first so that flags win
     if ns.config is not None:
         for name, raw in _read_config(ns.config):
+            source = f"{name}={raw} in {ns.config}"
             if name == "command":
                 if raw != command:
                     raise ValueError(
-                        f"invalid-config: config file is for {raw!r}, not {command!r}"
+                        f"invalid-config: {source}: config file is for {raw!r}, not {command!r}"
                     )
                 continue
             if name not in keys:
-                raise ValueError(f"invalid-config: unknown key {name!r} for {command}")
+                raise ValueError(f"invalid-config: {source}: unknown key for {command}")
             text = None if raw == _NONE_TOKEN else raw  # only a config line can unset a key
-            texts.append((name, text, f"{name}={raw} in {ns.config}"))
-    for name in keys:
+            texts.append((name, text, source))
+    for name, key in keys.items():
         flag = getattr(ns, name)
         if flag is not None:
             text = _fmt(flag)  # --dump-data is a switch that stores True
-            texts.append((name, text, f"--{name.replace('_', '-')} {text}"))
+            texts.append((name, text, f"{key.flag} {text}"))
     try:
         for name, text, source in texts:
             values[name] = None if text is None else keys[name].convert(text)
@@ -506,20 +512,35 @@ def _build_parser() -> argparse.ArgumentParser:
         p = subs.add_parser(command, help=help_line)
         p.add_argument("--config", help="flat key=value file; flags override its entries")
         for key in _KEYS[command]:
-            flag = "--" + key.name.replace("_", "-")
             if key.convert is _parse_bool:
-                p.add_argument(flag, dest=key.name, action="store_true", default=None,
+                p.add_argument(key.flag, dest=key.name, action="store_true", default=None,
                                help=key.help)
             else:
-                p.add_argument(flag, dest=key.name, help=key.help)
+                p.add_argument(key.flag, dest=key.name, help=key.help)
         p.set_defaults(func=func)
     return parser
+
+
+def _attach_values(argv) -> list:
+    """``argv`` with each value-taking flag and the argument after it joined as ``--flag=value``.
+
+    argparse reads a value that starts with ``-`` as a flag unless it looks
+    like ``-1`` or ``-.5``, so ``--threshold -1e-3`` would not parse.
+    """
+    takes_value = {"--config"} | {
+        key.flag for keys in _KEYS.values() for key in keys if key.convert is not _parse_bool
+    }
+    args, rest = [], iter(argv)
+    for arg in rest:
+        value = next(rest, None) if arg in takes_value else None
+        args.append(arg if value is None else f"{arg}={value}")
+    return args
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = parser.parse_args(_attach_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return 0 if exc.code in (None, 0) else 2
     try:

@@ -28,6 +28,7 @@ from kancredit.network import (
     CHUNK,
     KanNetwork,
     edge_forward,
+    _check_features,
     _layer_batch,
     flatten_params,
     network_forward,
@@ -74,13 +75,6 @@ class DecisionPath:
     logit: float
 
 
-def _features_of(dataset) -> np.ndarray:
-    x = np.asarray(dataset.features, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] == 0:
-        raise ValueError("empty-dataset: need a nonempty feature matrix")
-    return x
-
-
 def edge_scores(net: KanNetwork, dataset) -> EdgeScoreMatrix:
     """Std of each edge output over the dataset, in one chunked pass.
 
@@ -91,7 +85,9 @@ def edge_scores(net: KanNetwork, dataset) -> EdgeScoreMatrix:
     is, so data of at most ``CHUNK`` rows gives the plain two-pass result
     bit for bit.
     """
-    x = _features_of(dataset)
+    x = _check_features(net, dataset.features)
+    if x.shape[0] == 0:
+        raise ValueError("empty-dataset: need a nonempty feature matrix")
     means, m2s = [], []
     n_old = 0
     for lo in range(0, x.shape[0], CHUNK):

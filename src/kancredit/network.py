@@ -299,13 +299,19 @@ def network_forward(net: KanNetwork, x) -> ForwardTrace:
     )
 
 
-def network_logits(net: KanNetwork, X: np.ndarray) -> np.ndarray:
-    """Logits for a batch (n, n_features), streamed in fixed-size chunks."""
+def _check_features(net: KanNetwork, X) -> np.ndarray:
+    """``X`` as a float64 (n, widths[0]) array, else a coded dimension-mismatch."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != net.widths[0]:
         raise ValueError(
             f"dimension-mismatch: network expects (n, {net.widths[0]}), got {X.shape}"
         )
+    return X
+
+
+def network_logits(net: KanNetwork, X: np.ndarray) -> np.ndarray:
+    """Logits for a batch (n, n_features), streamed in fixed-size chunks."""
+    X = _check_features(net, X)
     out = np.empty(X.shape[0])
     for lo in range(0, X.shape[0], CHUNK):
         cur = X[lo : lo + CHUNK]

@@ -41,6 +41,7 @@ from kancredit.network import (
     CHUNK,
     KanLayer,
     KanNetwork,
+    _check_features,
     _chunk_map,
     _layer_batch,
     _param_views,
@@ -123,20 +124,23 @@ def _bce_terms(z, y):
     return np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))
 
 
-def _check_batch(net: KanNetwork, batch_x: np.ndarray, batch_y: np.ndarray):
-    x = np.asarray(batch_x, dtype=np.float64)
-    y = np.asarray(batch_y, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != net.widths[0]:
-        raise ValueError(
-            f"dimension-mismatch: expected (n, {net.widths[0]}) features, got {x.shape}"
-        )
+def _labelled(features, labels):
+    """Float features (n, d) and labels (n,): at least one row, every label 0 or 1."""
+    x = np.asarray(features, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.float64)
+    if x.ndim != 2:
+        raise ValueError(f"dimension-mismatch: expected (n, d) features, got {x.shape}")
     if x.shape[0] == 0:
-        raise ValueError("empty-batch: need at least one sample")
+        raise ValueError("empty-batch: dataset has no rows")
     if y.shape != (x.shape[0],):
         raise ValueError(f"dimension-mismatch: labels {y.shape} do not match {x.shape[0]} rows")
     if not np.all((y == 0) | (y == 1)):
         raise ValueError("invalid-label: labels must be 0 or 1")
     return x, y
+
+
+def _check_batch(net: KanNetwork, batch_x, batch_y):
+    return _labelled(_check_features(net, batch_x), batch_y)
 
 
 def _layer_backward(layer: KanLayer, cache, grad, grad_views, need_input: bool):
@@ -218,43 +222,49 @@ def adam_step(params, grads, state: AdamState, t: int, cfg: TrainConfig):
     return new_params, AdamState(m=m, v=v)
 
 
+def _fit(dataset, params, loss_and_grad, cfg: TrainConfig):
+    """Adam from ``params`` on ``loss_and_grad(params, x, y)``: the one training loop.
+
+    ``x`` and ``y`` are the dataset's features and labels, checked once here;
+    single-class labels only warn.  A non-finite loss or gradient stops the
+    run before its Adam update with ``diverged: step N``.  Returns the final
+    parameters, the loss before each update, and the seconds the steps took.
+    """
+    x, y = _labelled(dataset.features, dataset.labels)
+    if np.unique(y).size < 2:
+        warnings.warn("degenerate-dataset: single-class training data", stacklevel=3)
+    state = AdamState.zeros(params.size)
+    history = np.empty(cfg.steps)
+
+    started = time.perf_counter()
+    for t in range(1, cfg.steps + 1):
+        with np.errstate(all="ignore"):  # a non-finite step is reported just below
+            loss, grads = loss_and_grad(params, x, y)
+            if not (np.isfinite(loss) and np.isfinite(grads).all()):
+                raise ValueError(f"diverged: step {t}")
+            params, state = adam_step(params, grads, state, t, cfg)
+        history[t - 1] = loss
+    return params, history, time.perf_counter() - started
+
+
 def train(dataset, cfg: TrainConfig):
     """Train a fresh network on ``dataset`` (anything with .features/.labels).
 
     A non-finite loss or gradient stops the run before its Adam update with
     ``diverged: step N``.
     """
-    x = np.asarray(dataset.features, dtype=np.float64)
-    y = np.asarray(dataset.labels, dtype=np.float64)
-    n = x.shape[0]
-    if n == 0:
-        raise ValueError("empty-batch: dataset has no rows")
-    if np.unique(y).size < 2:
-        warnings.warn("degenerate-dataset: single-class training data", stacklevel=2)
-
     net = init_network(list(cfg.widths), cfg.grid_count, cfg.degree, cfg.seed)
-    params = flatten_params(net)
-    state = AdamState.zeros(params.size)
-    full_batch = cfg.batch_size == -1 or cfg.batch_size >= n
     rng = np.random.default_rng(cfg.seed)
-    history = np.empty(cfg.steps)
 
-    started = time.perf_counter()
-    for t in range(1, cfg.steps + 1):
-        if full_batch:
-            bx, by = x, y
-        else:
-            idx = rng.choice(n, size=cfg.batch_size, replace=False)
-            bx, by = x[idx], y[idx]
-        with np.errstate(all="ignore"):  # a non-finite step is reported just below
-            loss, grads = backward(net, bx, by)
-            if not (np.isfinite(loss) and np.isfinite(grads).all()):
-                raise ValueError(f"diverged: step {t}")
-            params, state = adam_step(params, grads, state, t, cfg)
+    def loss_and_grad(params, x, y):
         set_params(net, params)
-        history[t - 1] = loss
-    seconds = time.perf_counter() - started
+        if cfg.batch_size != -1 and cfg.batch_size < x.shape[0]:
+            idx = rng.choice(x.shape[0], size=cfg.batch_size, replace=False)
+            x, y = x[idx], y[idx]
+        return backward(net, x, y)
 
+    params, history, seconds = _fit(dataset, flatten_params(net), loss_and_grad, cfg)
+    set_params(net, params)
     return net, TrainReport(loss_history=history, seconds=seconds)
 
 

@@ -1,6 +1,7 @@
 """Logistic baseline: training behaviour, prediction identity, checkpoints."""
 
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -51,11 +52,30 @@ class TestTrainLogistic:
         assert roc_auc(probs, toy_dataset.labels) > 0.95
 
     def test_empty_dataset_rejected(self, toy_dataset):
-        from types import SimpleNamespace
-
         empty = SimpleNamespace(features=np.zeros((0, 2)), labels=np.zeros(0))
         with pytest.raises(ValueError, match="empty-batch"):
             train_logistic(empty)
+
+    def test_non_finite_input_diverges_at_step_one(self, toy_dataset, tmp_path):
+        features = toy_dataset.features.copy()
+        features[3, 1] = np.nan
+        ds = SimpleNamespace(features=features, labels=toy_dataset.labels)
+        path = tmp_path / "baseline.json"
+        with pytest.raises(ValueError, match=r"^diverged: step 1$"):
+            model, _, _ = train_logistic(ds)
+            save_logistic(model, path)
+        assert not path.exists()
+
+    def test_labels_other_than_0_and_1_rejected(self, toy_dataset):
+        labels = toy_dataset.labels * 2
+        with pytest.raises(ValueError, match=r"^invalid-label: "):
+            train_logistic(SimpleNamespace(features=toy_dataset.features, labels=labels))
+
+    def test_single_class_warns_but_trains(self, toy_dataset):
+        ds = SimpleNamespace(features=toy_dataset.features, labels=np.zeros(len(toy_dataset.labels)))
+        with pytest.warns(UserWarning, match="degenerate-dataset"):
+            _, history, _ = train_logistic(ds, steps=5)
+        assert np.isfinite(history).all()
 
 
 class TestPredict:

@@ -13,7 +13,7 @@ import kancredit.cli as kcli
 import kancredit.training as ktraining
 from kancredit.cli import _KEYS, main
 from kancredit.data import load_gmsc_csv, preprocess, split
-from kancredit.network import load_network
+from kancredit.network import init_network, load_network, save_network
 
 from conftest import make_gmsc_rows, write_gmsc_csv
 
@@ -82,9 +82,13 @@ class TestTrain:
             (b"dump_data=maybe\n", "dump_data=maybe in CFG: expected a boolean"),
             (b"grid=5\nk=\xff\n", "CFG is not text: "),
             (b"grid=5\nsteps\n", "line 2 of CFG is not key=value"),
-            (b"grid=5\nbogus=1\n", "unknown key 'bogus' for train"),
+            (b"grid=5\nbogus=1\n", "bogus=1 in CFG: unknown key for train"),
+            (b"command=eval\n", "command=eval in CFG: config file is for 'eval', not 'train'"),
         ],
-        ids=["width", "grid", "lr", "seed", "dump_data", "not-utf8", "not-key-value", "unknown-key"],
+        ids=[
+            "width", "grid", "lr", "seed", "dump_data", "not-utf8", "not-key-value", "unknown-key",
+            "other-command",
+        ],
     )
     def test_bad_config_value_exits_2(self, body, named, data_csv, tmp_path, capsys):
         cfg = tmp_path / "bad.cfg"
@@ -193,6 +197,15 @@ class TestEval:
             for line in (trained_run / "metrics_test.txt").read_text().splitlines()
         )
         assert eval_pairs["roc_auc"] == train_pairs["roc_auc"]
+
+    def test_negative_threshold_value_is_read_as_a_number(self, trained_run, data_csv, tmp_path):
+        out = tmp_path / "eval"
+        rc = main(
+            ["eval", "--model", str(trained_run / "model.json"),
+             "--data", str(data_csv), "--out", str(out), "--threshold", "-1e-3"]
+        )
+        assert rc == 0
+        assert "threshold=-0.001" in (out / "manifest.txt").read_text().splitlines()
 
     def test_on_train_scores_the_training_split(self, trained_run, data_csv, tmp_path):
         out = tmp_path / "eval"
@@ -431,6 +444,18 @@ class TestSweep:
 
 
 class TestExportCommands:
+    @pytest.mark.parametrize("command", ["eval", "explain", "export-dot"])
+    def test_checkpoint_of_another_width_is_one_coded_line(self, command, data_csv, tmp_path, capsys):
+        model = tmp_path / "model.json"
+        save_network(init_network([3, 1], 5, 3, seed=0), model)
+        out = tmp_path / "out"
+        rc = main([command, "--model", str(model), "--data", str(data_csv), "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: dimension-mismatch: ")
+        assert not out.exists()
+
     def test_export_dot_stdout(self, trained_run, data_csv, capsys):
         rc = main(
             ["export-dot", "--model", str(trained_run / "model.json"), "--data", str(data_csv)]
@@ -551,6 +576,7 @@ class TestNoOutputOnBadInput:
             ("train", ["--width", "10,x"], "invalid-config"),
             ("train", ["--lr", "abc"], "invalid-config"),
             ("eval", ["--on", "x"], "invalid-config"),
+            ("train", ["--lr", "-1e-3"], "invalid-config"),
         ],
     )
     def test_bad_value_is_one_coded_line(self, command, flags, code, data_csv, trained_run, tmp_path, capsys):
