@@ -7,13 +7,11 @@ preprocessed features, so score differences between the two model families
 cannot be blamed on optimizer details.
 """
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .network import _entry, _read_checkpoint, sigmoid
+from .network import _entry, _read_checkpoint, _write_checkpoint, sigmoid
 from .training import TrainConfig, _bce_terms, _fit
 
 __all__ = [
@@ -78,13 +76,7 @@ def logistic_probabilities(model: LogisticModel, features) -> np.ndarray:
 
 
 def save_logistic(model: LogisticModel, path) -> None:
-    payload = {
-        "kind": _CHECKPOINT_KIND,
-        "version": 1,
-        "weights": model.weights.tolist(),
-        "bias": model.bias,
-    }
-    Path(path).write_text(json.dumps(payload, indent=1) + "\n")
+    _write_checkpoint(path, _CHECKPOINT_KIND, {"weights": model.weights.tolist(), "bias": model.bias})
 
 
 def load_logistic(path) -> LogisticModel:

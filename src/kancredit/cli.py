@@ -14,7 +14,9 @@ configuration failures print one ``error: <code>: <detail>`` line to stderr,
 where ``<code>`` is the machine-readable prefix carried by the exception. A
 bad flag or config value gives one ``invalid-config`` line naming the setting
 and where it came from: ``--grid abc`` or ``grid=abc in <file>``. A flag that
-takes a value takes the next argument, even one that starts with ``-``.
+takes a value takes the next argument, even one that starts with ``-``. A
+flag is spelled in full: argparse's prefix matching is off, so ``--thresh``
+is an unknown flag, not ``--threshold``.
 """
 
 import argparse
@@ -23,7 +25,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
-from .data import load_gmsc_csv, preprocess, split, write_dataset_csv, write_scaler_text
+from .data import _NONE_TOKEN, _csv_lines, _fmt, _write_csv, load_gmsc_csv, preprocess, split
+from .data import write_dataset_csv, write_scaler_text
 from .explain import (
     decision_path,
     decision_path_text,
@@ -44,9 +47,6 @@ _SWEEPS = (
     ("grid", (3, 10, 50, 80), {"lr": 0.1, "steps": 100}),
     ("lr", (0.1, 0.01, 0.001), {"grid": 10, "steps": 200}),
 )
-
-_NONE_TOKEN = "none"
-
 
 # ---------------------------------------------------------------------------
 # Config plumbing: typed keys, config files, manifests.
@@ -202,33 +202,11 @@ def _resolve(command: str, ns) -> dict:
     return values
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return _NONE_TOKEN
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(float(value))  # plain float repr even for numpy scalars
-    if isinstance(value, tuple):
-        return ",".join(str(v) for v in value)
-    return str(value)
-
-
 def _write_kv(path: Path, mapping: dict, command: str | None = None) -> None:
     """``key=value`` lines in key order; a manifest leads with ``command=<name>``."""
     lines = [] if command is None else [f"command={command}"]
     lines += [f"{name}={_fmt(mapping[name])}" for name in sorted(mapping)]
     path.write_text("\n".join(lines) + "\n")
-
-
-def _csv_text(header, rows) -> str:
-    lines = [",".join(header)]
-    lines += [",".join(_fmt(cell) for cell in row) for row in rows]
-    return "\n".join(lines) + "\n"
-
-
-def _write_csv(path: Path, header, rows) -> None:
-    path.write_text(_csv_text(header, rows))
 
 
 # ---------------------------------------------------------------------------
@@ -313,11 +291,7 @@ def cmd_train(ns) -> int:
     }
     out = _out_dir(values)
     save_network(net, out / "model.json")
-    _write_csv(
-        out / "loss.csv",
-        ("step", "loss"),
-        [(t + 1, loss) for t, loss in enumerate(report.loss_history)],
-    )
+    _write_csv(out / "loss.csv", ("step", "loss"), enumerate(report.loss_history.tolist(), start=1))
     for name, metrics in reports.items():
         _write_kv(out / f"metrics_{name}.txt", metrics)
     if values["dump_data"]:
@@ -325,9 +299,9 @@ def cmd_train(ns) -> int:
         write_dataset_csv(test_ds, out / "data_test.csv")
         write_scaler_text(train_ds.scaler, train_ds.feature_names, out / "scaler.txt")
     print(
-        f"train: steps={values['steps']} final_loss={float(report.loss_history[-1])!r} "
-        f"test_roc_auc={reports['test']['roc_auc']!r} "
-        f"test_f1_class0={reports['test']['class0_f1']!r} "
+        f"train: steps={values['steps']} final_loss={_fmt(report.loss_history[-1])} "
+        f"test_roc_auc={_fmt(reports['test']['roc_auc'])} "
+        f"test_f1_class0={_fmt(reports['test']['class0_f1'])} "
         f"seconds={report.seconds:.2f}"
     )
     _write_kv(out / "manifest.txt", values, "train")
@@ -343,18 +317,15 @@ def cmd_eval(ns) -> int:
     metrics, probs = _metric_report(net, dataset, values["on"], values["threshold"])
     out = _out_dir(values)
     _write_kv(out / "metrics.txt", metrics)
-    _write_csv(
-        out / "roc.csv",
-        ("fpr", "tpr", "threshold"),
-        [(pt.fpr, pt.tpr, pt.threshold) for pt in roc_curve(probs, dataset.labels)],
-    )
+    roc = [(pt.fpr, pt.tpr, pt.threshold) for pt in roc_curve(probs, dataset.labels)]
+    _write_csv(out / "roc.csv", ("fpr", "tpr", "threshold"), roc)
     _write_kv(out / "manifest.txt", values, "eval")
     print(f"eval: split={values['on']} n={metrics['n_samples']}")
-    print(f"eval: roc_auc={metrics['roc_auc']!r}")
+    print(f"eval: roc_auc={_fmt(metrics['roc_auc'])}")
     for cls in (0, 1):
         print(
-            f"eval: class{cls} precision={metrics[f'class{cls}_precision']!r} "
-            f"recall={metrics[f'class{cls}_recall']!r} f1={metrics[f'class{cls}_f1']!r}"
+            f"eval: class{cls} precision={_fmt(metrics[f'class{cls}_precision'])} "
+            f"recall={_fmt(metrics[f'class{cls}_recall'])} f1={_fmt(metrics[f'class{cls}_f1'])}"
         )
     return 0
 
@@ -382,13 +353,9 @@ def cmd_explain(ns) -> int:
     _write_csv(out / "curves.csv", ("layer", "q", "p", "x", "phi"), curves)
     if i is not None:
         path = decision_path(net, dataset.features[i])
-        _write_csv(
-            out / "sample_path.csv",
-            ("layer", "node", "input", "x", "phi", "share"),
-            path.steps,
-        )
-        (out / "sample_path.txt").write_text(decision_path_text(path) + "\n")
-        print(f"explain: sample={i} logit={path.logit!r}")
+        _write_csv(out / "sample_path.csv", ("layer", "node", "input", "x", "phi", "share"), path.steps)
+        (out / "sample_path.txt").write_text(decision_path_text(path))
+        print(f"explain: sample={i} logit={_fmt(path.logit)}")
     top = ", ".join(ids[p] for p in ranking[:3])
     print(f"explain: top features {top}")
     _write_kv(out / "manifest.txt", values, "explain")
@@ -446,7 +413,7 @@ def cmd_sweep(ns) -> int:
         rows = [(v, auc, f1, f"{sec:.3f}") for v, (auc, f1, sec) in zip(swept, results)]
         _write_csv(out / f"{key}_sweep.csv", (key, "roc_auc", "f1", "seconds"), rows)
         for v, auc, f1, _ in rows:
-            print(f"sweep: {key}={_fmt(v)} roc_auc={auc!r} f1={f1!r}")
+            print(f"sweep: {key}={_fmt(v)} roc_auc={_fmt(auc)} f1={_fmt(f1)}")
 
     reference = [
         "# Externally published GMSC benchmark results, recorded for context.",
@@ -483,7 +450,8 @@ def cmd_curves(ns) -> int:
     values = _resolve("curves", ns)
     net = load_network(values["model"])
     rows = sample_activation_curves(net, values["points"])
-    return _emit("curves", values, "curves.csv", _csv_text(("layer", "q", "p", "x", "phi"), rows))
+    text = "".join(_csv_lines(("layer", "q", "p", "x", "phi"), rows))
+    return _emit("curves", values, "curves.csv", text)
 
 
 # ---------------------------------------------------------------------------
@@ -505,11 +473,12 @@ _COMMANDS = {
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kancredit",
+        allow_abbrev=False,
         description="Spline-network credit default scoring: train, evaluate, explain.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
     for command, (func, help_line) in _COMMANDS.items():
-        p = subs.add_parser(command, help=help_line)
+        p = subs.add_parser(command, help=help_line, allow_abbrev=False)
         p.add_argument("--config", help="flat key=value file; flags override its entries")
         for key in _KEYS[command]:
             if key.convert is _parse_bool:
@@ -525,7 +494,8 @@ def _attach_values(argv) -> list:
     """``argv`` with each value-taking flag and the argument after it joined as ``--flag=value``.
 
     argparse reads a value that starts with ``-`` as a flag unless it looks
-    like ``-1`` or ``-.5``, so ``--threshold -1e-3`` would not parse.
+    like ``-1`` or ``-.5``, so ``--threshold -1e-3`` would not parse.  Only
+    full flag names are joined; the parsers take no prefix either.
     """
     takes_value = {"--config"} | {
         key.flag for keys in _KEYS.values() for key in keys if key.convert is not _parse_bool

@@ -18,6 +18,10 @@ that would otherwise flatten the spline grid), then scale each column
 affinely onto [-1, 1] to match the network's grid domain.  A Dataset keeps
 its raw column matrix so that a later split can refit the scaler on the
 training rows only.
+
+Writing: ``_fmt`` is the package's one spelling of a value in an artifact or
+summary line, a float (numpy scalars too) as Python's round-trip repr, never
+``np.float64(...)``; ``_write_csv`` streams a CSV row by row through it.
 """
 
 from __future__ import annotations
@@ -66,6 +70,7 @@ _COLUMNS = [
 FEATURE_NAMES = tuple(name for name, *_ in _COLUMNS[1:])
 
 _MISSING_TOKENS = {"", "na", "nan", "null"}
+_NONE_TOKEN = "none"  # an unset setting in a manifest or config file
 
 @dataclass(frozen=True)
 class RawTable:
@@ -136,6 +141,31 @@ class Dataset:
 
     def __len__(self) -> int:
         return self.labels.shape[0]
+
+
+def _fmt(value) -> str:
+    """The one spelling of a value in an artifact or summary line; a float as Python's repr."""
+    if value is None:
+        return _NONE_TOKEN
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(float(value))  # plain float repr even for numpy scalars
+    if isinstance(value, tuple):
+        return ",".join(str(v) for v in value)
+    return str(value)
+
+
+def _csv_lines(header, rows):
+    """The lines of a CSV artifact, every cell through ``_fmt``."""
+    yield ",".join(header) + "\n"
+    for row in rows:
+        yield ",".join(map(_fmt, row)) + "\n"
+
+
+def _write_csv(path, header, rows) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(_csv_lines(header, rows))
 
 
 def _parse_cell(cell: str, kind: str, optional: bool, nonneg: bool, where: str) -> float:
@@ -327,20 +357,14 @@ def dataset_from_arrays(features, labels) -> Dataset:
 
 
 def write_dataset_csv(dataset: Dataset, path) -> None:
-    """Audit dump: label plus normalized feature columns."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["label", *dataset.feature_names])
-        for y, row in zip(dataset.labels, dataset.features):
-            writer.writerow([int(y), *[repr(float(v)) for v in row]])
+    """Audit dump: label plus normalized feature columns, written row by row."""
+    rows = ((y, *x.tolist()) for y, x in zip(dataset.labels.tolist(), dataset.features))
+    _write_csv(path, ("label", *dataset.feature_names), rows)
 
 
 def write_scaler_text(scaler: Scaler, feature_names, path) -> None:
     """Scaler sidecar as key=value lines, one triple per column."""
-    lines = []
-    for j, name in enumerate(feature_names):
-        lines.append(f"{name}.impute={scaler.impute[j]!r}")
-        lines.append(f"{name}.lo={scaler.lo[j]!r}")
-        lines.append(f"{name}.hi={scaler.hi[j]!r}")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        for j, name in enumerate(feature_names):
+            for part, values in (("impute", scaler.impute), ("lo", scaler.lo), ("hi", scaler.hi)):
+                fh.write(f"{name}.{part}={_fmt(values[j])}\n")

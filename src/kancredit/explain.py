@@ -14,6 +14,7 @@ of statistic.
 
 Structure export is plain DOT text (deterministic bytes, golden-testable);
 decision paths decompose one sample's logit into per-edge contributions.
+Their text form spells every number through ``data._fmt``, as a plain float.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from kancredit.data import FEATURE_NAMES
+from kancredit.data import FEATURE_NAMES, _fmt
 from kancredit.network import (
     CHUNK,
     KanNetwork,
@@ -216,15 +217,15 @@ def decision_path(net: KanNetwork, sample) -> DecisionPath:
 
 
 def decision_path_text(path: DecisionPath) -> str:
-    """Human-readable rendering, one line per edge, grouped by node."""
+    """Human-readable rendering, one line per edge, grouped by node, ending in one newline."""
     lines = []
     current = None
     for li, q, p, x_in, phi, share in path.steps:
         if (li, q) != current:
             current = (li, q)
-            lines.append(f"layer {li} node {q}  sum={path.node_sums[li][q]!r}")
-        lines.append(f"  in[{p}]={x_in!r}  phi={phi!r}  share={share!r}")
-    lines.append(f"logit={path.logit!r}")
+            lines.append(f"layer {li} node {q}  sum={_fmt(path.node_sums[li][q])}")
+        lines.append(f"  in[{p}]={_fmt(x_in)}  phi={_fmt(phi)}  share={_fmt(share)}")
+    lines.append(f"logit={_fmt(path.logit)}")
     return "\n".join(lines) + "\n"
 
 

@@ -356,9 +356,7 @@ def set_params(net: KanNetwork, flat: np.ndarray) -> None:
 
 def save_network(net: KanNetwork, path) -> None:
     """JSON checkpoint; float64 values survive the round trip bit-exactly."""
-    payload = {
-        "kind": "kan-network",
-        "version": 1,
+    _write_checkpoint(path, "kan-network", {
         "widths": net.widths,
         "grid_count": net.grid_count,
         "degree": net.degree,
@@ -366,10 +364,17 @@ def save_network(net: KanNetwork, path) -> None:
         "range_min": net.layers[0].knots.range_min,
         "range_max": net.layers[0].knots.range_max,
         "params": flatten_params(net).tolist(),
-    }
+    })
+
+
+def _write_checkpoint(path, kind: str, fields: dict) -> None:
+    """A version-1 checkpoint of ``kind`` as one line of JSON; a non-finite number writes nothing."""
+    try:
+        text = json.dumps({"kind": kind, "version": 1, **fields}, allow_nan=False)
+    except ValueError as exc:  # NaN and infinities are not JSON, and the loaders refuse them
+        raise ValueError(f"non-finite-parameter: {path}: {exc}") from None
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _read_checkpoint(path, kind: str, noun: str) -> dict:

@@ -207,6 +207,17 @@ class TestEval:
         assert rc == 0
         assert "threshold=-0.001" in (out / "manifest.txt").read_text().splitlines()
 
+    @pytest.mark.parametrize("value", ["-1e-3", "0.3"])
+    def test_flag_prefix_is_an_unknown_flag(self, value, trained_run, data_csv, tmp_path, capsys):
+        out = tmp_path / "eval"
+        rc = main(
+            ["eval", "--model", str(trained_run / "model.json"),
+             "--data", str(data_csv), "--out", str(out), "--thresh", value]
+        )
+        assert rc == 2
+        assert re.search(r"--thresh(?!old)", capsys.readouterr().err.splitlines()[-1])
+        assert not out.exists()
+
     def test_on_train_scores_the_training_split(self, trained_run, data_csv, tmp_path):
         out = tmp_path / "eval"
         rc = main(
@@ -363,6 +374,28 @@ class TestExplain:
                  "--data", str(data_csv), "--out", str(out), "--points", "3"]
             )
         assert (outs[0] / "structure.dot").read_bytes() == (outs[1] / "structure.dot").read_bytes()
+
+
+class TestTextArtifacts:
+    def test_every_artifact_is_utf8_with_one_final_newline_and_plain_floats(self, data_csv, tmp_path):
+        model = tmp_path / "train" / "model.json"
+        common = ["--data", str(data_csv)]
+        runs = [
+            ["train", *common, "--width", "10,2,1", "--grid", "5", "--k", "3", "--steps", "5", "--dump-data"],
+            ["eval", "--model", str(model), *common],
+            ["explain", "--model", str(model), *common, "--points", "5", "--sample", "0"],
+            ["curves", "--model", str(model), "--points", "5"],
+            ["export-dot", "--model", str(model), *common],
+        ]
+        for argv in runs:
+            assert main([*argv, "--out", str(tmp_path / argv[0])]) == 0, argv[0]
+        files = sorted(p for p in tmp_path.rglob("*") if p.is_file())
+        assert {"scaler.txt", "data_train.csv", "roc.csv", "sample_path.txt", "curves.csv",
+                "structure.dot"} <= {p.name for p in files}
+        for path in files:
+            text = path.read_bytes().decode("utf-8")
+            assert text.endswith("\n") and not text.endswith("\n\n"), path
+            assert not any("np." in line for line in text.splitlines()), path
 
 
 @pytest.fixture(scope="module")

@@ -30,6 +30,7 @@ from kancredit.network import (
 )
 
 GOLDEN = Path(__file__).parent / "data" / "structure_3_2_1.dot"
+PATH_GOLDEN = Path(__file__).parent / "data" / "sample_path_3_2_1.txt"
 
 
 def layer_edge_outputs(net, x):
@@ -288,6 +289,13 @@ class TestDecisionPath:
         text = decision_path_text(path)
         assert text.startswith("layer 0 node 0")
         assert f"logit={path.logit!r}" in text
+
+    def test_text_matches_golden_file(self):
+        net = init_network([3, 2, 1], 4, 2, seed=7)
+        for layer in net.layers:
+            layer.w_b[...] = 0.0  # no silu branch: the golden digits rest on +, -, * and / alone, not exp
+        text = decision_path_text(decision_path(net, np.array([0.3, -0.55, 0.8])))
+        assert text == PATH_GOLDEN.read_text()
 
 
 class TestActivationCurves:

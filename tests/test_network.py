@@ -1,6 +1,7 @@
 """Forward-pass semantics: edges, layers, composition, checkpoints."""
 
 import json
+import re
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 import kancredit.explain as kexplain
 import kancredit.network as knet
 import kancredit.training as ktraining
+from kancredit.baseline import LogisticModel, load_logistic, save_logistic
 from kancredit.explain import edge_scores
 from kancredit.network import (
     init_network,
@@ -334,6 +336,53 @@ class TestCheckpoint:
             path.write_text(json.dumps(payload))
             with pytest.raises(ValueError, match="invalid-widths"):
                 load_network(path)
+
+
+def _network_with(flat):
+    net = init_network([2, 2, 1], 4, 2, seed=3)
+    set_params(net, flat)
+    return net
+
+
+def _logistic_with(flat):
+    return LogisticModel(weights=flat[:-1], bias=float(flat[-1]))
+
+
+def _logistic_params(path):
+    model = load_logistic(path)
+    return np.append(model.weights, model.bias)
+
+
+# (model from a flat parameter vector, saver, flat parameters read back, parameter count)
+_SAVERS = [
+    pytest.param(_network_with, save_network, lambda path: load_network(path).params,
+                 parameter_count(init_network([2, 2, 1], 4, 2, seed=3)), id="save_network"),
+    pytest.param(_logistic_with, save_logistic, _logistic_params, 5, id="save_logistic"),
+]
+
+
+class TestCheckpointWriter:
+    """``save_network`` and ``save_logistic`` share one writer: finite JSON numbers or nothing."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("make, save, load, size", _SAVERS)
+    def test_non_finite_parameter_is_refused_and_writes_nothing(self, make, save, load, size, bad, tmp_path):
+        flat = np.random.default_rng(5).normal(size=size)
+        for i in range(size):
+            path = tmp_path / f"model_{i}.json"
+            with pytest.raises(ValueError, match=rf"^non-finite-parameter: {re.escape(str(path))}: "):
+                save(make(np.where(np.arange(size) == i, bad, flat)), path)
+            assert not path.exists()
+
+    @pytest.mark.parametrize("make, save, load, size", _SAVERS)
+    def test_finite_round_trip_is_bit_exact(self, make, save, load, size, tmp_path):
+        extremes = [5e-324, -0.0, 1.7976931348623157e308, 0.1, -1 / 3]
+        flat = np.random.default_rng(6).normal(size=size) * 10.0 ** np.arange(-8, size - 8)
+        flat[: len(extremes)] = extremes
+        path = tmp_path / "model.json"
+        save(make(flat), path)
+        assert load(path).tobytes() == flat.tobytes()
+        assert path.read_text().count("\n") == 1  # one compact line of JSON
 
 
 class TestBatchEvaluation:

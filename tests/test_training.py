@@ -251,10 +251,11 @@ class TestChunkHelper:
         assert _chunk_map(doubled, range(4)) == [0, 2, 4, 6]
         assert helper_ran.is_set()
 
-    def test_forked_child_runs_chunks_on_a_helper_of_its_own(self):
+    def test_forked_child_after_a_two_thread_call_gets_its_chunks(self):
         helper_ran = threading.Event()
         doubled = _shared_with_the_helper(lambda lo: 2 * lo, helper_ran)
-        assert _chunk_map(doubled, range(4)) == [0, 2, 4, 6]  # the parent's helper exists
+        # a call whose helper thread took a chunk; the helper is joined before the fork
+        assert _chunk_map(doubled, range(4)) == [0, 2, 4, 6]
         pid = os.fork()
         if pid == 0:  # the child: exit 0 only if the chunks came back
             signal.alarm(20)
