@@ -408,12 +408,17 @@ def cmd_sweep(ns) -> int:
     else:
         results = [run(cell) for cell in cells]
 
-    results = iter(results)
+    # wall-clock seconds differ from run to run, so they go to timings.csv
+    # alone and the other sweep files keep their bytes
+    results, timings = iter(results), []
     for key, swept, _ in _SWEEPS:
-        rows = [(v, auc, f1, f"{sec:.3f}") for v, (auc, f1, sec) in zip(swept, results)]
-        _write_csv(out / f"{key}_sweep.csv", (key, "roc_auc", "f1", "seconds"), rows)
-        for v, auc, f1, _ in rows:
+        study = [(v, *result) for v, result in zip(swept, results)]
+        rows = [(v, auc, f1) for v, auc, f1, _ in study]
+        timings += [(key, v, f"{sec:.3f}") for v, _, _, sec in study]
+        _write_csv(out / f"{key}_sweep.csv", (key, "roc_auc", "f1"), rows)
+        for v, auc, f1 in rows:
             print(f"sweep: {key}={_fmt(v)} roc_auc={_fmt(auc)} f1={_fmt(f1)}")
+    _write_csv(out / "timings.csv", ("study", "value", "seconds"), timings)
 
     reference = [
         "# Externally published GMSC benchmark results, recorded for context.",

@@ -62,12 +62,14 @@ __all__ = [
     "load_network",
 ]
 
-# samples per chunk; bounds the (chunk, n_out, n_in) temporaries.  Chunked
-# results are merged in chunk order, so they depend on this grid and never on
-# how many threads ran the chunks; with a helper thread of the call, joined
-# before it returns (see _chunk_map), two 8192-row chunks in flight take about
-# the memory one 16384-row chunk did.
-CHUNK = 8192
+# samples per chunk: the one grid of every batched pass (backward,
+# network_logits, edge_scores).  It bounds the (chunk, n_out, n_in)
+# temporaries: the calling thread and a helper thread of the call (see
+# _chunk_map) each hold one chunk's working set, and it is small enough that
+# a 4096-row minibatch is two chunks, one per thread.  Chunk results are
+# merged in chunk order, so they depend on this grid and never on how many
+# threads ran the chunks.
+CHUNK = 2048
 
 # held while a helper thread of a call runs (it is joined before that call
 # returns), so at most one helper is alive; a call that finds it held runs its
@@ -249,7 +251,8 @@ def _layer_batch(layer: KanLayer, X: np.ndarray):
     spline_out = _band_dot(coef, first, band).transpose(1, 0, 2)
     sig = sigmoid(X)
     sil = X * sig
-    phi = layer.w_b[None, :, :] * sil[:, None, :] + layer.w_s[None, :, :] * spline_out
+    phi = layer.w_b[None, :, :] * sil[:, None, :]
+    phi += layer.w_s[None, :, :] * spline_out
     return phi.sum(axis=2), phi, (X, first, band, spline_out, sil, sig)
 
 
@@ -310,14 +313,22 @@ def _check_features(net: KanNetwork, X) -> np.ndarray:
 
 
 def network_logits(net: KanNetwork, X: np.ndarray) -> np.ndarray:
-    """Logits for a batch (n, n_features), streamed in fixed-size chunks."""
+    """Logits for a batch (n, n_features), streamed in ``CHUNK``-row chunks.
+
+    The chunks run on up to two threads (``_chunk_map``), each writing its
+    rows of the result.  A logit depends only on its own row, so the result
+    is the same bit for bit at any grid and any thread count.
+    """
     X = _check_features(net, X)
     out = np.empty(X.shape[0])
-    for lo in range(0, X.shape[0], CHUNK):
+
+    def chunk(lo):
         cur = X[lo : lo + CHUNK]
         for layer in net.layers:
             cur = _layer_batch(layer, cur)[0]
         out[lo : lo + CHUNK] = cur[:, 0]
+
+    _chunk_map(chunk, range(0, X.shape[0], CHUNK))
     return out
 
 

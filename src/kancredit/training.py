@@ -23,10 +23,10 @@ Batches stream through on a fixed grid of ``CHUNK``-row chunks, so
 full-batch training on hundreds of thousands of rows stays inside a small
 memory budget.  Each chunk's loss sum and gradient go into buffers of their
 own, which are added up in chunk order: the result depends on the grid and
-never on the threads.  A batch of two or more chunks runs on the calling
-thread and a helper thread of the call, joined before it returns
-(``_chunk_map``); a batch of one chunk, such as a 4096-row minibatch, never
-leaves the caller.
+never on the threads.  A batch of two or more chunks, a 4096-row minibatch
+included, runs on the calling thread and a helper thread of the call,
+joined before it returns (``_chunk_map``); only a batch of at most
+``CHUNK`` rows stays on the caller.
 """
 
 from __future__ import annotations

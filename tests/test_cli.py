@@ -5,6 +5,8 @@ import io
 import json
 import os
 import re
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -418,11 +420,35 @@ def sweep_dir(sweep_run):
 class TestSweep:
     def test_summary_shapes(self, sweep_dir):
         grid_lines = (sweep_dir / "grid_sweep.csv").read_text().splitlines()
-        assert grid_lines[0] == "grid,roc_auc,f1,seconds"
+        assert grid_lines[0] == "grid,roc_auc,f1"
         assert [l.split(",")[0] for l in grid_lines[1:]] == ["3", "10", "50", "80"]
         lr_lines = (sweep_dir / "lr_sweep.csv").read_text().splitlines()
-        assert lr_lines[0] == "lr,roc_auc,f1,seconds"
+        assert lr_lines[0] == "lr,roc_auc,f1"
         assert [l.split(",")[0] for l in lr_lines[1:]] == ["0.1", "0.01", "0.001"]
+        timing_lines = (sweep_dir / "timings.csv").read_text().splitlines()
+        assert timing_lines[0] == "study,value,seconds"
+        assert [tuple(l.split(",")[:2]) for l in timing_lines[1:]] == [
+            ("grid", "3"), ("grid", "10"), ("grid", "50"), ("grid", "80"),
+            ("lr", "0.1"), ("lr", "0.01"), ("lr", "0.001"),
+        ]
+        assert all(float(l.split(",")[2]) >= 0 for l in timing_lines[1:])
+
+    def test_two_sweeps_differ_only_in_timings(self, tmp_path):
+        path = tmp_path / "small.csv"
+        write_gmsc_csv(path, make_gmsc_rows(120, seed=3))
+        out = tmp_path / "out"
+        runs = []
+        for _ in range(2):  # the same --out both times, so the manifests can match too
+            shutil.rmtree(out, ignore_errors=True)
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert main(["sweep", "--data", str(path), "--out", str(out)]) == 0
+            runs.append({p.relative_to(out): p.read_bytes() for p in out.rglob("*") if p.is_file()})
+        first, second = runs
+        timings = Path("timings.csv")
+        assert sorted(first) == sorted(second) and timings in first
+        assert {name: data for name, data in first.items() if name != timings} == {
+            name: data for name, data in second.items() if name != timings
+        }
 
     def test_cells_are_reproducible_train_runs(self, sweep_dir, tmp_path):
         cell = sweep_dir / "grid_3"

@@ -1,13 +1,16 @@
 """Edge scores, attribution propagation, DOT export, decision paths."""
 
 import math
+import os
 import re
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import kancredit.explain as kexplain
+import kancredit.network as knet
 from kancredit.data import dataset_from_arrays, FEATURE_NAMES
 from kancredit.explain import (
     EdgeScoreMatrix,
@@ -28,6 +31,8 @@ from kancredit.network import (
     parameter_count,
     set_params,
 )
+
+from test_training import _chunked_problem, _shared_with_the_helper
 
 GOLDEN = Path(__file__).parent / "data" / "structure_3_2_1.dot"
 PATH_GOLDEN = Path(__file__).parent / "data" / "sample_path_3_2_1.txt"
@@ -135,6 +140,31 @@ class TestEdgeScores:
         net = init_network([2, 1], 5, 3, seed=0)
         with pytest.raises(ValueError, match="empty-dataset"):
             edge_scores(net, dataset_from_arrays(np.zeros((0, 2)), np.zeros(0)))
+
+
+class TestEdgeScoresChunkHelper:
+    """edge_scores over a 7-row chunk grid, with the helper thread and without it."""
+
+    @pytest.fixture(autouse=True)
+    def small_grid(self, monkeypatch):
+        monkeypatch.setattr(kexplain, "CHUNK", 7)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+    def test_helper_on_busy_and_one_cpu_agree_bit_for_bit(self, monkeypatch):
+        net, x, y = _chunked_problem(10)
+        ds = dataset_from_arrays(x, y)
+        helper_ran = threading.Event()
+        with monkeypatch.context() as m:
+            m.setattr(kexplain, "_layer_batch", _shared_with_the_helper(_layer_batch, helper_ran))
+            scores = edge_scores(net, ds).per_layer
+        assert helper_ran.is_set()
+        assert [t for t in threading.enumerate() if t.name.startswith("kancredit-chunk")] == []
+        with knet._HELPER_IN_USE:  # a busy helper: the caller runs every chunk
+            busy = edge_scores(net, ds).per_layer
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        one_cpu = edge_scores(net, ds).per_layer
+        for got, want_busy, want_one in zip(scores, busy, one_cpu):
+            assert np.array_equal(got, want_busy) and np.array_equal(got, want_one)
 
 
 class TestFeatureAttribution:

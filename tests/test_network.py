@@ -1,7 +1,9 @@
 """Forward-pass semantics: edges, layers, composition, checkpoints."""
 
 import json
+import os
 import re
+import threading
 from types import SimpleNamespace
 
 import numpy as np
@@ -30,7 +32,9 @@ from kancredit.network import (
 )
 from kancredit.splines import make_knot_vector, SplineParams
 from kancredit.training import backward
-from kancredit.network import ActivationEdge
+from kancredit.network import ActivationEdge, _layer_batch
+
+from test_training import _chunked_problem, _shared_with_the_helper
 
 
 def zeroed(net):
@@ -431,3 +435,26 @@ class TestBatchEvaluation:
         net = init_network([4, 1], 5, 3, seed=1)
         with pytest.raises(ValueError, match="dimension-mismatch"):
             network_logits(net, np.zeros((3, 5)))
+
+
+class TestLogitsChunkHelper:
+    """network_logits over a 7-row chunk grid, with the helper thread and without it."""
+
+    @pytest.fixture(autouse=True)
+    def small_grid(self, monkeypatch):
+        monkeypatch.setattr(knet, "CHUNK", 7)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+    def test_helper_on_busy_and_one_cpu_agree_bit_for_bit(self, monkeypatch):
+        net, x, _ = _chunked_problem(9)
+        helper_ran = threading.Event()
+        with monkeypatch.context() as m:
+            m.setattr(knet, "_layer_batch", _shared_with_the_helper(_layer_batch, helper_ran))
+            logits = network_logits(net, x)
+        assert helper_ran.is_set()
+        assert [t for t in threading.enumerate() if t.name.startswith("kancredit-chunk")] == []
+        with knet._HELPER_IN_USE:  # a busy helper: the caller runs every chunk
+            busy = network_logits(net, x)
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        one_cpu = network_logits(net, x)
+        assert np.array_equal(logits, busy) and np.array_equal(logits, one_cpu)

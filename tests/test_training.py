@@ -11,8 +11,10 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import kancredit.explain as kexplain
 import kancredit.network as knet
 import kancredit.training as ktraining
+from kancredit.explain import edge_scores
 from kancredit.network import (
     _chunk_map,
     _layer_batch,
@@ -148,9 +150,9 @@ class TestBackward:
         np.testing.assert_allclose(grads, want_grads, rtol=1e-12, atol=1e-12)
 
     def test_full_chunk_peak_memory(self):
-        # 16384 rows of the shipped 10,1 grid-80 model, two chunks in flight
-        # on two threads; a dense (n, n_in, n_basis) basis alone would take
-        # 110 MB here
+        # 16384 rows of the shipped 10,1 grid-80 model: eight chunks, at most
+        # one in flight on each of two threads; a dense (n, n_in, n_basis)
+        # basis alone would take 110 MB here
         net = init_network([10, 1], 80, 4, seed=3)
         rng = np.random.default_rng(23)
         x = rng.uniform(-1.2, 1.2, size=(16384, 10))
@@ -323,6 +325,37 @@ class TestChunkHelper:
             with pytest.raises(FloatingPointError):
                 _chunk_map(chunk, range(4))
             assert ran_on_caller == {True, False} and helpers() == []
+
+
+class TestTwoThreadPeakMemory:
+    """Each batched pass on 16384 rows of the shipped 10,4,1 grid-30 model, on two threads.
+
+    Eight 2048-row chunks, one in flight on each thread, hold 7-9 MB at most;
+    an 8192-row grid, where each thread held a whole 8192-row chunk, took
+    13 MB (logits), 16 MB (edge scores) and 32 MB (backward).
+    """
+
+    @pytest.mark.parametrize("module, run", [
+        (knet, lambda net, x, y: network_logits(net, x)),
+        (kexplain, lambda net, x, y: edge_scores(net, SimpleNamespace(features=x))),
+        (ktraining, backward),
+    ], ids=["network_logits", "edge_scores", "backward"])
+    def test_peak_below_10_mb(self, monkeypatch, module, run):
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        net = init_network([10, 4, 1], 30, 4, seed=3)
+        rng = np.random.default_rng(29)
+        x = rng.uniform(-1.2, 1.2, size=(16384, 10))
+        y = rng.integers(0, 2, size=16384).astype(np.float64)
+        helper_ran = threading.Event()
+        monkeypatch.setattr(module, "_layer_batch", _shared_with_the_helper(_layer_batch, helper_ran))
+        tracemalloc.start()
+        try:
+            run(net, x, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert helper_ran.is_set()
+        assert peak < 10e6
 
 
 class TestGradCheck:
