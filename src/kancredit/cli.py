@@ -13,7 +13,8 @@ Exit codes: 0 success, 1 internal error, 2 usage or data error. Data and
 configuration failures print one ``error: <code>: <detail>`` line to stderr,
 where ``<code>`` is the machine-readable prefix carried by the exception. A
 bad flag or config value gives one ``invalid-config`` line naming the setting
-and where it came from: ``--grid abc`` or ``grid=abc in <file>``. A flag that
+and where it came from: ``--grid abc`` or ``grid=abc in <file>``; so does a
+config ``<key>=none`` for a key that has a default value. A flag that
 takes a value takes the next argument, even one that starts with ``-``. A
 flag is spelled in full: argparse's prefix matching is off, so ``--thresh``
 is an unknown flag, not ``--threshold``.
@@ -193,6 +194,8 @@ def _resolve(command: str, ns) -> dict:
             texts.append((name, text, f"{key.flag} {text}"))
     try:
         for name, text, source in texts:
+            if text is None and keys[name].default is not None:
+                raise ValueError(f"{name} cannot be unset")
             values[name] = None if text is None else keys[name].convert(text)
     except ValueError as exc:
         raise ValueError(f"invalid-config: {source}: {exc}") from None
@@ -337,8 +340,8 @@ def cmd_explain(ns) -> int:
     i = values["sample"]
     if i is not None and not 0 <= i < len(dataset.features):
         raise ValueError(f"index-out-of-range: sample {i} outside [0, {len(dataset.features)})")
+    curves = sample_activation_curves(net, values["points"])  # checks --points before the long pass
     scores = edge_scores(net, dataset)
-    curves = sample_activation_curves(net, values["points"])
     out = _out_dir(values)
 
     raw, normalized, ranking = propagate_scores(scores)

@@ -26,12 +26,11 @@ import numpy as np
 
 from kancredit.data import FEATURE_NAMES, _fmt
 from kancredit.network import (
-    CHUNK,
     KanNetwork,
     edge_forward,
     _check_features,
     _chunk_map,
-    _layer_batch,
+    _walk,
     flatten_params,
     network_forward,
 )
@@ -80,25 +79,23 @@ class DecisionPath:
 def edge_scores(net: KanNetwork, dataset) -> EdgeScoreMatrix:
     """Std of each edge output over the dataset, in one chunked pass.
 
-    Each chunk of ``k`` rows takes its exact two-pass mean and sum of squared
-    deviations from the ``phi`` in hand.  The chunks run on up to two threads
-    (``_chunk_map``) and merge on the caller in chunk order by Chan et al.'s
+    Each ``k``-row chunk of the grid (see ``network._chunk_map``) takes its
+    exact two-pass mean and sum of squared deviations from the ``phi`` in
+    hand.  The chunks merge on the caller in chunk order by Chan et al.'s
     update, ``delta = mean_c - mean``, ``mean += delta * k / n``,
-    ``m2 += m2_c + delta**2 * n_old * k / n``, so the result depends on the
-    ``CHUNK`` grid and never on the threads.  The first chunk is taken as
-    is, so data of at most ``CHUNK`` rows gives the plain two-pass result
-    bit for bit.
+    ``m2 += m2_c + delta**2 * n_old * k / n``.  The first chunk is taken as
+    is, so data of at most one chunk gives the plain two-pass result bit for
+    bit.
     """
     x = _check_features(net, dataset.features)
     if x.shape[0] == 0:
         raise ValueError("empty-dataset: need a nonempty feature matrix")
 
-    def chunk(lo):
-        cur = x[lo : lo + CHUNK]
+    def chunk(rows):
+        cur = x[rows]
         k = cur.shape[0]
         stats = []
-        for layer in net.layers:
-            cur, phi, _ = _layer_batch(layer, cur)
+        for _, phi, _ in _walk(net, cur):
             mean_c = phi.sum(axis=0) / k
             phi -= mean_c  # phi is this chunk's own; square its deviations in place
             phi *= phi
@@ -106,7 +103,7 @@ def edge_scores(net: KanNetwork, dataset) -> EdgeScoreMatrix:
         return k, stats
 
     means, m2s, n_old = [], [], 0
-    for k, stats in _chunk_map(chunk, range(0, x.shape[0], CHUNK)):
+    for k, stats in _chunk_map(chunk, x.shape[0]):
         n = n_old + k
         for li, (mean_c, m2_c) in enumerate(stats):
             if n_old == 0:

@@ -13,9 +13,11 @@ per edge [w_b, w_s, c_0 ... c_{M-1}].  Each layer's ``w_b``, ``w_s`` (shape
 buffer, so writing the buffer updates every layer, and editing a layer's
 arrays in place edits the buffer.
 
-``_layer_batch`` is the one place phi is computed.  Batched inference,
-training and attribution call it directly; the single-sample functions pass
-it a batch of one, and ``edge_forward`` a one-edge layer.  Its spline branch
+``_layer_batch`` is the one place phi is computed, and ``_walk`` the one
+walk of a batch through the layers.  Batched inference, training and
+attribution call ``_walk`` on each chunk, and ``network_forward`` on a batch
+of one; ``layer_forward`` passes ``_layer_batch`` a batch of one, and
+``edge_forward`` a one-edge layer.  Its spline branch
 works on the banded basis: for each input it gathers the ``degree + 1``
 coefficients from ``knot_span`` on and weights them by ``basis_values``,
 summing in a fixed order, so an edge's value is the same in any batch.
@@ -63,12 +65,13 @@ __all__ = [
 ]
 
 # samples per chunk: the one grid of every batched pass (backward,
-# network_logits, edge_scores).  It bounds the (chunk, n_out, n_in)
+# network_logits, edge_scores), read here only: _chunk_map cuts a batch into
+# CHUNK-row slices and runs them.  It bounds the (chunk, n_out, n_in)
 # temporaries: the calling thread and a helper thread of the call (see
 # _chunk_map) each hold one chunk's working set, and it is small enough that
-# a 4096-row minibatch is two chunks, one per thread.  Chunk results are
-# merged in chunk order, so they depend on this grid and never on how many
-# threads ran the chunks.
+# a 4096-row minibatch is two chunks, one per thread; a batch of at most
+# CHUNK rows stays on the caller.  Chunk results are merged in chunk order,
+# so they depend on this grid and never on how many threads ran the chunks.
 CHUNK = 2048
 
 # held while a helper thread of a call runs (it is joined before that call
@@ -152,8 +155,8 @@ class ForwardTrace:
     logit: float
 
 
-def _chunk_map(func, starts) -> list:
-    """``[func(lo) for lo in starts]``, shared between this thread and a helper thread of the call.
+def _chunk_map(func, n_rows: int) -> list:
+    """``func(rows)`` for each ``CHUNK``-row slice of ``n_rows`` rows, on this thread and a helper.
 
     For two or more chunks on a multi-CPU host, the call starts one helper
     thread, which runs every second chunk under the caller's numpy error
@@ -163,20 +166,20 @@ def _chunk_map(func, starts) -> list:
     callers never wait on each other.  A chunk that raises does not stop the
     other thread's chunks: the error reaches the caller once both are done.
     """
-    starts = list(starts)
-    if len(starts) < 2 or (os.cpu_count() or 1) < 2 or not _HELPER_IN_USE.acquire(blocking=False):
-        return [func(lo) for lo in starts]
+    chunks = [slice(lo, lo + CHUNK) for lo in range(0, n_rows, CHUNK)]
+    if len(chunks) < 2 or (os.cpu_count() or 1) < 2 or not _HELPER_IN_USE.acquire(blocking=False):
+        return [func(rows) for rows in chunks]
     try:
         errors = np.geterr()
 
         def helper_chunks():
             with np.errstate(**errors):
-                return [func(lo) for lo in starts[1::2]]
+                return [func(rows) for rows in chunks[1::2]]
 
         with ThreadPoolExecutor(1, thread_name_prefix="kancredit-chunk") as pool:
             helper = pool.submit(helper_chunks)
-            mine = [func(lo) for lo in starts[::2]]
-        results = [None] * len(starts)
+            mine = [func(rows) for rows in chunks[::2]]
+        results = [None] * len(chunks)
         results[::2], results[1::2] = mine, helper.result()
         return results
     finally:
@@ -256,6 +259,17 @@ def _layer_batch(layer: KanLayer, X: np.ndarray):
     return phi.sum(axis=2), phi, (X, first, band, spline_out, sil, sig)
 
 
+def _walk(net: KanNetwork, X: np.ndarray):
+    """Each layer's ``_layer_batch`` result (Y, phi, cache) in turn, its Y the next layer's input.
+
+    The one walk of a batch through the layers.  It yields, so a caller
+    keeps of each layer only what it needs.
+    """
+    for layer in net.layers:
+        X, phi, cache = _layer_batch(layer, X)
+        yield X, phi, cache
+
+
 def edge_forward(edge: ActivationEdge, knots: KnotVector, x):
     """phi(x) for a single edge at a scalar (float out) or 1-D array of points.
 
@@ -286,19 +300,12 @@ def network_forward(net: KanNetwork, x) -> ForwardTrace:
         raise ValueError(
             f"dimension-mismatch: network expects {net.widths[0]} inputs, got {x.shape}"
         )
-    layer_inputs, edge_outputs, node_sums = [], [], []
-    cur = x
-    for layer in net.layers:
-        layer_inputs.append(cur)
-        y, phi = layer_forward(layer, cur)
-        edge_outputs.append(phi)
-        node_sums.append(y)
-        cur = y
+    walk = list(_walk(net, x[None, :]))
     return ForwardTrace(
-        layer_inputs=layer_inputs,
-        edge_outputs=edge_outputs,
-        node_sums=node_sums,
-        logit=float(cur[0]),
+        layer_inputs=[cache[0][0] for _, _, cache in walk],
+        edge_outputs=[phi[0] for _, phi, _ in walk],
+        node_sums=[y[0] for y, _, _ in walk],
+        logit=float(walk[-1][0][0, 0]),
     )
 
 
@@ -322,13 +329,12 @@ def network_logits(net: KanNetwork, X: np.ndarray) -> np.ndarray:
     X = _check_features(net, X)
     out = np.empty(X.shape[0])
 
-    def chunk(lo):
-        cur = X[lo : lo + CHUNK]
-        for layer in net.layers:
-            cur = _layer_batch(layer, cur)[0]
-        out[lo : lo + CHUNK] = cur[:, 0]
+    def chunk(rows):
+        for y, _, _ in _walk(net, X[rows]):
+            pass  # only the last layer's node sums are kept
+        out[rows] = y[:, 0]
 
-    _chunk_map(chunk, range(0, X.shape[0], CHUNK))
+    _chunk_map(chunk, X.shape[0])
     return out
 
 

@@ -19,14 +19,11 @@ those bases, and the spline derivative a gather of the coefficients over
 the derivative band.  Everything is checked against central finite
 differences in the tests.
 
-Batches stream through on a fixed grid of ``CHUNK``-row chunks, so
-full-batch training on hundreds of thousands of rows stays inside a small
-memory budget.  Each chunk's loss sum and gradient go into buffers of their
-own, which are added up in chunk order: the result depends on the grid and
-never on the threads.  A batch of two or more chunks, a 4096-row minibatch
-included, runs on the calling thread and a helper thread of the call,
-joined before it returns (``_chunk_map``); only a batch of at most
-``CHUNK`` rows stays on the caller.
+Batches stream through the chunk grid of ``network._chunk_map``, which
+describes the grid and its threads, so full-batch training on hundreds of
+thousands of rows stays inside a small memory budget.  Each chunk's loss sum
+and gradient go into buffers of their own, which are added up in chunk
+order.
 """
 
 from __future__ import annotations
@@ -38,13 +35,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from kancredit.network import (
-    CHUNK,
     KanLayer,
     KanNetwork,
     _check_features,
     _chunk_map,
-    _layer_batch,
     _param_views,
+    _walk,
     flatten_params,
     init_network,
     network_logits,
@@ -181,24 +177,19 @@ def backward(net: KanNetwork, batch_x, batch_y):
     x, y = _check_batch(net, batch_x, batch_y)
     n_total = x.shape[0]
 
-    def chunk(lo):
+    def chunk(rows):
         flat = np.zeros_like(net.params)
         grad_views = _param_views(flat, net.widths, net.layers[0].knots.n_basis)
-        yc = y[lo : lo + CHUNK]
-        cur = x[lo : lo + CHUNK]
-        caches = []
-        for layer in net.layers:
-            cur, _, cache = _layer_batch(layer, cur)
-            caches.append(cache)
-
-        z = cur[:, 0]
+        # each layer's output and cache, not its phi: every phi held to the end would raise the peak
+        outs, caches = zip(*[(out, cache) for out, _, cache in _walk(net, x[rows])])
+        z, yc = outs[-1][:, 0], y[rows]
         grad = ((sigmoid(z) - yc) / n_total)[:, None]
         for li in range(len(net.layers) - 1, -1, -1):
             grad = _layer_backward(net.layers[li], caches[li], grad, grad_views[li], li > 0)
         return np.sum(_bce_terms(z, yc)), flat
 
     loss_sum, total = 0.0, np.zeros_like(net.params)
-    for chunk_loss, chunk_grad in _chunk_map(chunk, range(0, n_total, CHUNK)):
+    for chunk_loss, chunk_grad in _chunk_map(chunk, n_total):
         loss_sum += chunk_loss
         total += chunk_grad
     return loss_sum / n_total, total

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import kancredit.cli as kcli
-import kancredit.training as ktraining
+import kancredit.network as knet
 from kancredit.cli import _KEYS, main
 from kancredit.data import load_gmsc_csv, preprocess, split
 from kancredit.network import init_network, load_network, save_network
@@ -368,6 +368,21 @@ class TestExplain:
         assert "invalid-point-count" in capsys.readouterr().err
         assert not list((tmp_path / "exp").glob("*"))
 
+    def test_too_few_points_is_refused_before_the_attribution_pass(
+        self, trained_run, data_csv, tmp_path, capsys, monkeypatch
+    ):
+        def refuse(*args):
+            raise AssertionError("edge_scores ran before --points was checked")
+
+        monkeypatch.setattr(kcli, "edge_scores", refuse)
+        rc = main(
+            ["explain", "--model", str(trained_run / "model.json"),
+             "--data", str(data_csv), "--out", str(tmp_path / "exp"), "--points", "1"]
+        )
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: invalid-point-count: ")
+        assert not (tmp_path / "exp").exists()
+
     def test_dot_stable_across_runs(self, trained_run, data_csv, tmp_path):
         outs = [tmp_path / "a", tmp_path / "b"]
         for out in outs:
@@ -486,7 +501,7 @@ class TestSweep:
 
     def test_parallel_cells_equal_serial_cells(self, tmp_path, monkeypatch):
         # four chunks per step, so cells share or skip the helper thread
-        monkeypatch.setattr(ktraining, "CHUNK", 30)
+        monkeypatch.setattr(knet, "CHUNK", 30)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         path = tmp_path / "small.csv"
         write_gmsc_csv(path, make_gmsc_rows(120, seed=3))
@@ -588,7 +603,7 @@ class TestNoOutputOnBadInput:
 
     @pytest.mark.filterwarnings("error")
     def test_diverged_run_on_two_threads_prints_one_line(self, data_csv, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(ktraining, "CHUNK", 7)
+        monkeypatch.setattr(knet, "CHUNK", 7)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         out = tmp_path / "out"
         rc = main(["train", "--data", str(data_csv), "--out", str(out), "--lr", "1e300"])
@@ -658,7 +673,11 @@ class TestNoOutputOnBadInput:
 
 
 def _typed_settings():
-    """Every setting whose text is converted, by config line and, unless a switch, by flag."""
+    """Every setting whose text is converted, by config line and, unless a switch, by flag.
+
+    A setting with a default is also given as a config ``none``, which only
+    a setting without one accepts.
+    """
     for command, keys in _KEYS.items():
         for key in keys:
             if key.convert is str:
@@ -666,6 +685,8 @@ def _typed_settings():
             yield pytest.param(command, key.name, "config", id=f"{command}-{key.name}-config")
             if key.convert is not kcli._parse_bool:  # --dump-data is a switch and takes no text
                 yield pytest.param(command, key.name, "flag", id=f"{command}-{key.name}-flag")
+            if key.default is not None:
+                yield pytest.param(command, key.name, "none", id=f"{command}-{key.name}-none")
 
 
 class TestEveryTypedSetting:
@@ -684,16 +705,28 @@ class TestEveryTypedSetting:
             argv += [flag, "bad"]
             source = f"{flag} bad"
         else:
+            text = "none" if given == "none" else "bad"
             cfg = tmp_path / "bad.cfg"
-            cfg.write_text(f"{name}=bad\n")
+            cfg.write_text(f"{name}={text}\n")
             argv += ["--config", str(cfg)]
-            source = f"{name}=bad in {cfg}"
+            source = f"{name}={text} in {cfg}"
         rc = main(argv)
         assert rc == 2
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1
         assert err.startswith(f"error: invalid-config: {source}: ")
         assert not out.exists()
+
+    def test_none_unsets_a_setting_without_a_default(self, trained_run, data_csv, tmp_path):
+        cfg = tmp_path / "unset.cfg"
+        cfg.write_text("width=none\ngrid=none\nk=none\n")
+        out = tmp_path / "out"
+        argv = ["eval", "--config", str(cfg), "--model", str(trained_run / "model.json"),
+                "--data", str(data_csv), "--out", str(out)]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+        manifest = (out / "manifest.txt").read_text().splitlines()
+        assert {"width=10,1", "grid=5", "k=3", "on=test", "threshold=0.5"} <= set(manifest)
 
 
 class TestUsageErrors:

@@ -9,7 +9,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import kancredit.explain as kexplain
 import kancredit.network as knet
 from kancredit.data import dataset_from_arrays, FEATURE_NAMES
 from kancredit.explain import (
@@ -111,7 +110,7 @@ class TestEdgeScores:
     def test_merged_chunks_match_fsum_two_pass_oracle(self, monkeypatch):
         net = random_net([3, 2, 1], seed=33)
         ds = random_dataset(53, 3, seed=34)
-        monkeypatch.setattr(kexplain, "CHUNK", 7)
+        monkeypatch.setattr(knet, "CHUNK", 7)
         scores = edge_scores(net, ds).per_layer
         for got, phi in zip(scores, layer_edge_outputs(net, ds.features)):
             for q, p in np.ndindex(got.shape):
@@ -125,7 +124,7 @@ class TestEdgeScores:
         rng = np.random.default_rng(36)
         feats = rng.uniform(-1, 1, (50, 2))
         feats[:, 1] = 0.37
-        monkeypatch.setattr(kexplain, "CHUNK", 7)
+        monkeypatch.setattr(knet, "CHUNK", 7)
         scores = edge_scores(net, dataset_from_arrays(feats, rng.integers(0, 2, 50)))
         assert scores.per_layer[0][0, 1] < 1e-15
         assert scores.per_layer[0][0, 0] > 0.0
@@ -147,7 +146,7 @@ class TestEdgeScoresChunkHelper:
 
     @pytest.fixture(autouse=True)
     def small_grid(self, monkeypatch):
-        monkeypatch.setattr(kexplain, "CHUNK", 7)
+        monkeypatch.setattr(knet, "CHUNK", 7)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
 
     def test_helper_on_busy_and_one_cpu_agree_bit_for_bit(self, monkeypatch):
@@ -155,7 +154,7 @@ class TestEdgeScoresChunkHelper:
         ds = dataset_from_arrays(x, y)
         helper_ran = threading.Event()
         with monkeypatch.context() as m:
-            m.setattr(kexplain, "_layer_batch", _shared_with_the_helper(_layer_batch, helper_ran))
+            m.setattr(knet, "_layer_batch", _shared_with_the_helper(_layer_batch, helper_ran))
             scores = edge_scores(net, ds).per_layer
         assert helper_ran.is_set()
         assert [t for t in threading.enumerate() if t.name.startswith("kancredit-chunk")] == []

@@ -9,9 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-import kancredit.explain as kexplain
 import kancredit.network as knet
-import kancredit.training as ktraining
 from kancredit.baseline import LogisticModel, load_logistic, save_logistic
 from kancredit.explain import edge_scores
 from kancredit.network import (
@@ -415,13 +413,31 @@ class TestBatchEvaluation:
         data = SimpleNamespace(features=X)
         loss, grad = backward(net, X, y)
         scores = edge_scores(net, data).per_layer
-        for module in (knet, ktraining, kexplain):
-            monkeypatch.setattr(module, "CHUNK", 7)
+        monkeypatch.setattr(knet, "CHUNK", 7)
         chunked_loss, chunked_grad = backward(net, X, y)
         assert chunked_loss == pytest.approx(loss, rel=1e-12, abs=0)
         np.testing.assert_allclose(chunked_grad, grad, rtol=1e-12, atol=0)
         for got, want in zip(edge_scores(net, data).per_layer, scores):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("run", [
+        lambda net, x, y: network_logits(net, x),
+        backward,
+        lambda net, x, y: edge_scores(net, SimpleNamespace(features=x)),
+    ], ids=["network_logits", "backward", "edge_scores"])
+    def test_every_batched_pass_walks_the_network_grid(self, monkeypatch, run):
+        # network.CHUNK alone sets the grid: every layer sees 23 rows as 7 + 7 + 7 + 2
+        net, x, y = _chunked_problem(12, rows=23)
+        rows = []
+
+        def recording(layer, cur):
+            rows.append(cur.shape[0])
+            return _layer_batch(layer, cur)
+
+        monkeypatch.setattr(knet, "CHUNK", 7)
+        monkeypatch.setattr(knet, "_layer_batch", recording)
+        run(net, x, y)
+        assert sorted(rows) == sorted([7, 7, 7, 2] * len(net.layers))
 
     def test_probabilities(self):
         net = init_network([4, 1], 5, 3, seed=1)

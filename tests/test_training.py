@@ -11,9 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-import kancredit.explain as kexplain
 import kancredit.network as knet
-import kancredit.training as ktraining
 from kancredit.explain import edge_scores
 from kancredit.network import (
     _chunk_map,
@@ -205,14 +203,14 @@ class TestChunkHelper:
 
     @pytest.fixture(autouse=True)
     def small_grid(self, monkeypatch):
-        monkeypatch.setattr(ktraining, "CHUNK", 7)
+        monkeypatch.setattr(knet, "CHUNK", 7)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
 
     def test_helper_on_and_off_agree_bit_for_bit(self, monkeypatch):
         net, x, y = _chunked_problem(6)
         helper_ran = threading.Event()
         with monkeypatch.context() as m:
-            m.setattr(ktraining, "_layer_batch", _shared_with_the_helper(_layer_batch, helper_ran))
+            m.setattr(knet, "_layer_batch", _shared_with_the_helper(_layer_batch, helper_ran))
             loss, grad = backward(net, x, y)
         assert helper_ran.is_set()
         with knet._HELPER_IN_USE:  # a busy helper: the caller runs every chunk
@@ -230,7 +228,7 @@ class TestChunkHelper:
             threads.add(threading.current_thread())
             return _layer_batch(layer, cur)
 
-        monkeypatch.setattr(ktraining, "_layer_batch", recording)
+        monkeypatch.setattr(knet, "_layer_batch", recording)
         backward(net, x, y)
         assert threads == {threading.current_thread()}
 
@@ -238,30 +236,30 @@ class TestChunkHelper:
         caller = threading.current_thread()
         helper_failed = threading.Event()
 
-        def chunk(lo):
+        def chunk(rows):
             if threading.current_thread() is caller:
                 helper_failed.wait(timeout=10)
-                return lo
+                return rows.start
             helper_failed.set()
-            raise FloatingPointError(f"chunk {lo} failed")
+            raise FloatingPointError(f"chunk {rows.start} failed")
 
         with pytest.raises(FloatingPointError, match=r"^chunk \d+ failed$"):
-            _chunk_map(chunk, range(0, 40, 10))
+            _chunk_map(chunk, 28)
         assert helper_failed.is_set()
         helper_ran = threading.Event()
-        doubled = _shared_with_the_helper(lambda lo: 2 * lo, helper_ran)
-        assert _chunk_map(doubled, range(4)) == [0, 2, 4, 6]
+        doubled = _shared_with_the_helper(lambda rows: 2 * rows.start, helper_ran)
+        assert _chunk_map(doubled, 28) == [0, 14, 28, 42]
         assert helper_ran.is_set()
 
     def test_forked_child_after_a_two_thread_call_gets_its_chunks(self):
         helper_ran = threading.Event()
-        doubled = _shared_with_the_helper(lambda lo: 2 * lo, helper_ran)
+        doubled = _shared_with_the_helper(lambda rows: 2 * rows.start, helper_ran)
         # a call whose helper thread took a chunk; the helper is joined before the fork
-        assert _chunk_map(doubled, range(4)) == [0, 2, 4, 6]
+        assert _chunk_map(doubled, 28) == [0, 14, 28, 42]
         pid = os.fork()
         if pid == 0:  # the child: exit 0 only if the chunks came back
             signal.alarm(20)
-            os._exit(0 if _chunk_map(lambda lo: 2 * lo, range(4)) == [0, 2, 4, 6] else 1)
+            os._exit(0 if _chunk_map(lambda rows: 2 * rows.start, 28) == [0, 14, 28, 42] else 1)
         deadline = time.monotonic() + 30
         while (status := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
             time.sleep(0.01)
@@ -308,22 +306,22 @@ class TestChunkHelper:
 
         net, x, y = _chunked_problem(8)
         helper_ran = threading.Event()
-        monkeypatch.setattr(ktraining, "_layer_batch", _shared_with_the_helper(_layer_batch, helper_ran))
+        monkeypatch.setattr(knet, "_layer_batch", _shared_with_the_helper(_layer_batch, helper_ran))
         backward(net, x, y)
         assert helper_ran.is_set() and helpers() == []
         caller = threading.current_thread()
         for raise_on_caller in (True, False):
             ran_on_caller = set()
 
-            def chunk(lo):
+            def chunk(rows):
                 on_caller = threading.current_thread() is caller
                 ran_on_caller.add(on_caller)
                 if on_caller == raise_on_caller:
-                    raise FloatingPointError(f"chunk {lo} failed")
-                return lo
+                    raise FloatingPointError(f"chunk {rows.start} failed")
+                return rows.start
 
             with pytest.raises(FloatingPointError):
-                _chunk_map(chunk, range(4))
+                _chunk_map(chunk, 28)
             assert ran_on_caller == {True, False} and helpers() == []
 
 
@@ -335,19 +333,19 @@ class TestTwoThreadPeakMemory:
     13 MB (logits), 16 MB (edge scores) and 32 MB (backward).
     """
 
-    @pytest.mark.parametrize("module, run", [
-        (knet, lambda net, x, y: network_logits(net, x)),
-        (kexplain, lambda net, x, y: edge_scores(net, SimpleNamespace(features=x))),
-        (ktraining, backward),
+    @pytest.mark.parametrize("run", [
+        lambda net, x, y: network_logits(net, x),
+        lambda net, x, y: edge_scores(net, SimpleNamespace(features=x)),
+        backward,
     ], ids=["network_logits", "edge_scores", "backward"])
-    def test_peak_below_10_mb(self, monkeypatch, module, run):
+    def test_peak_below_10_mb(self, monkeypatch, run):
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         net = init_network([10, 4, 1], 30, 4, seed=3)
         rng = np.random.default_rng(29)
         x = rng.uniform(-1.2, 1.2, size=(16384, 10))
         y = rng.integers(0, 2, size=16384).astype(np.float64)
         helper_ran = threading.Event()
-        monkeypatch.setattr(module, "_layer_batch", _shared_with_the_helper(_layer_batch, helper_ran))
+        monkeypatch.setattr(knet, "_layer_batch", _shared_with_the_helper(_layer_batch, helper_ran))
         tracemalloc.start()
         try:
             run(net, x, y)
