@@ -12,7 +12,9 @@ At any input only ``degree + 1`` consecutive bases are nonzero, so the
 basis is kept banded: ``knot_span`` gives the index of the first of them and
 ``basis_values``/``basis_derivatives`` their values and derivatives, one row
 of ``degree + 1`` per sample.  A spline is evaluated by gathering the
-coefficients at ``span + j``.  Values come from the triangular recurrence
+coefficients at ``span + j`` with ``np.take``, which returns the same
+elements as fancy indexing ``coef[..., span + j]`` in the same order, in
+about half the time.  Values come from the triangular recurrence
 (de Boor's local algorithm) written in the offset u = (x - t_span) / h, where
 on the uniform grid every denominator is a small integer and no knot is
 looked up.  Derivatives use the uniform-knot identity
@@ -191,11 +193,14 @@ def _band_dot(coef: np.ndarray, first: np.ndarray, band: np.ndarray) -> np.ndarr
     ``basis_values(...).T``); the result has shape
     ``coef.shape[:-1] + first.shape``.  Each entry is the same sequence of
     products and adds whatever the shapes, so a value does not depend on the
-    batch it is computed in.
+    batch it is computed in.  The gather is ``np.take`` along the last axis:
+    the same elements as ``coef[..., first + j]``, so the same products in the
+    same order, at about twice the speed of fancy indexing.  An index past
+    the last coefficient raises ``IndexError`` as indexing does.
     """
-    out = coef[..., first] * band[0]
+    out = np.take(coef, first, axis=-1) * band[0]
     for j in range(1, band.shape[0]):
-        out += coef[..., first + j] * band[j]
+        out += np.take(coef, first + j, axis=-1) * band[j]
     return out
 
 

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import kancredit.network as knet
+import kancredit.training as ktrain
 from kancredit.baseline import LogisticModel, load_logistic, save_logistic
 from kancredit.explain import edge_scores
 from kancredit.network import (
@@ -32,6 +33,7 @@ from kancredit.splines import make_knot_vector, SplineParams
 from kancredit.training import backward
 from kancredit.network import ActivationEdge, _layer_batch
 
+from test_splines import fancy_band_dot
 from test_training import _chunked_problem, _shared_with_the_helper
 
 
@@ -438,6 +440,28 @@ class TestBatchEvaluation:
         monkeypatch.setattr(knet, "_layer_batch", recording)
         run(net, x, y)
         assert sorted(rows) == sorted([7, 7, 7, 2] * len(net.layers))
+
+    def test_every_pass_equals_the_fancy_index_gather(self, monkeypatch):
+        # the kernel's gather is invisible: logits, loss, gradient and scores keep every bit
+        net = init_network([10, 4, 1], 30, 4, seed=3)
+        rng = np.random.default_rng(8)
+        set_params(net, rng.normal(0, 0.5, parameter_count(net)))
+        x = rng.uniform(-1.2, 1.2, size=(23, 10))
+        y = (rng.random(23) < 0.4).astype(np.float64)
+        data = SimpleNamespace(features=x)
+        monkeypatch.setattr(knet, "CHUNK", 7)  # 7 + 7 + 7 + 2 rows
+
+        def passes():
+            loss, grad = backward(net, x, y)
+            return [network_logits(net, x), np.float64(loss), grad, *edge_scores(net, data).per_layer]
+
+        taken = passes()
+        monkeypatch.setattr(knet, "_band_dot", fancy_band_dot)
+        monkeypatch.setattr(ktrain, "_band_dot", fancy_band_dot)
+        indexed = passes()
+        assert len(taken) == len(indexed) == 5
+        for got, want in zip(taken, indexed):
+            assert np.array_equal(got, want)
 
     def test_probabilities(self):
         net = init_network([4, 1], 5, 3, seed=1)

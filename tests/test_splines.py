@@ -6,6 +6,7 @@ import pytest
 from kancredit.splines import (
     KnotVector,
     SplineParams,
+    _band_dot,
     make_knot_vector,
     knot_span,
     basis_values,
@@ -32,6 +33,20 @@ def naive_row(kv, x):
     return np.array(
         [naive_basis(kv.knots, i, kv.degree, x) for i in range(kv.n_basis)]
     )
+
+
+def fancy_band_dot(coef, first, band):
+    """``_band_dot`` with the gather written as fancy indexing: the reference it must equal."""
+    out = coef[..., first] * band[0]
+    for j in range(1, band.shape[0]):
+        out += coef[..., first + j] * band[j]
+    return out
+
+
+def same_bits(got, want) -> bool:
+    """Equal shapes and equal float64 bit patterns, so -0.0 differs from 0.0."""
+    got, want = np.asarray(got, dtype=np.float64), np.asarray(want, dtype=np.float64)
+    return got.shape == want.shape and np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def dense(kv, x, band_of=basis_values):
@@ -215,3 +230,55 @@ class TestEvalSpline:
         p = SplineParams(rng.uniform(-1, 1, kv.n_basis))
         assert eval_spline(p, kv, 4.0) == eval_spline(p, kv, 1.0)
         assert eval_spline(p, kv, -9.9) == eval_spline(p, kv, -1.0)
+
+
+class TestBandDot:
+    """_band_dot bit for bit against the fancy-index gather, at the shapes its callers pass."""
+
+    kv = make_knot_vector(-1.0, 1.0, 30, 4)
+
+    def layer_operands(self, n_out, n_in, band_of=basis_values, rows=37, seed=0):
+        """coef, first and band as ``network._layer_batch`` builds them, ends of the range included."""
+        rng = np.random.default_rng(seed)
+        kv = self.kv
+        x = rng.uniform(-1.2, 1.2, size=(rows, n_in))
+        x[0] = 1.0  # the last window: first + degree is each input's last coefficient
+        x[1] = -1.0
+        x[2, 0], x[2, -1] = 3.0, -3.0
+        first = knot_span(kv, x.ravel()).reshape(rows, n_in) + np.arange(n_in) * kv.n_basis
+        band = band_of(kv, x.ravel()).T.reshape(-1, rows, n_in)
+        coef = rng.normal(size=(n_out, n_in * kv.n_basis))
+        return coef, first, band, x
+
+    @pytest.mark.parametrize("n_out", [1, 4])
+    def test_layer_forward(self, n_out):
+        coef, first, band, _ = self.layer_operands(n_out, 10)
+        assert first.max() + self.kv.degree == coef.shape[1] - 1
+        got = _band_dot(coef, first, band)
+        assert got.shape == (n_out, 37, 10)
+        assert same_bits(got, fancy_band_dot(coef, first, band))
+
+    def test_hidden_layer_derivative_band(self):
+        # as training._layer_backward builds it: zeroed where the input is clamped
+        coef, first, dband, x = self.layer_operands(1, 4, basis_derivatives, seed=1)
+        dband *= (x > self.kv.range_min) & (x < self.kv.range_max)
+        assert np.any(np.signbit(dband) & (dband == 0))  # -0.0 entries reach the kernel
+        assert same_bits(_band_dot(coef, first, dband), fancy_band_dot(coef, first, dband))
+
+    def test_eval_spline_array_and_scalar(self):
+        kv = self.kv
+        coef = np.random.default_rng(2).normal(size=kv.n_basis)
+        xs = np.array([-1.5, -1.0, -0.31, 0.0, 0.77, 1.0, 2.0])
+        for x in (xs, 0.77, 1.0):
+            first, band = knot_span(kv, x), basis_values(kv, x).T
+            want = fancy_band_dot(coef, first, band)
+            assert same_bits(_band_dot(coef, first, band), want)
+            assert same_bits(eval_spline(SplineParams(coef), kv, x), want)
+        assert isinstance(eval_spline(SplineParams(coef), kv, 0.77), float)
+
+    def test_index_past_the_last_coefficient_raises(self):
+        coef, first, band, _ = self.layer_operands(4, 10)
+        first[3, -1] = coef.shape[1] - self.kv.degree  # its last band entry is one past the end
+        for kernel in (_band_dot, fancy_band_dot):
+            with pytest.raises(IndexError):
+                kernel(coef, first, band)
