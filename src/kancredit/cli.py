@@ -22,7 +22,6 @@ is an unknown flag, not ``--threshold``.
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -134,7 +133,6 @@ _KEYS = {
         _Key("out", str, required=True, help="output directory"),
         _Key("seed", int, 42),
         _Key("test_fraction", float, 0.2),
-        _Key("parallel", int, 1, help="concurrent sweep cells (default 1)"),
     ),
     "export-dot": (
         _Key("model", str, required=True, help="checkpoint JSON from train"),
@@ -154,7 +152,7 @@ _KEYS = {
 
 def _read_config(path):
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise ValueError(f"invalid-config: {path} is not text: {exc}") from None
     pairs = []
@@ -206,10 +204,13 @@ def _resolve(command: str, ns) -> dict:
 
 
 def _write_kv(path: Path, mapping: dict, command: str | None = None) -> None:
-    """``key=value`` lines in key order; a manifest leads with ``command=<name>``."""
+    """``key=value`` lines in key order; a manifest leads with ``command=<name>``.
+
+    A path argument that the locale could not decode keeps its own bytes.
+    """
     lines = [] if command is None else [f"command={command}"]
     lines += [f"{name}={_fmt(mapping[name])}" for name in sorted(mapping)]
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8", errors="surrogateescape")
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +242,7 @@ def _emit(command: str, values, name: str, text: str) -> int:
         sys.stdout.write(text)
         return 0
     out = _out_dir(values)
-    (out / name).write_text(text)
+    (out / name).write_text(text, encoding="utf-8")
     _write_kv(out / "manifest.txt", values, command)
     print(f"{command}: wrote {out / name}")
     return 0
@@ -352,12 +353,12 @@ def cmd_explain(ns) -> int:
         ("feature", "score", "normalized_score", "rank"),
         [(ids[p], raw[p], normalized[p], rank_of[p]) for p in range(len(ids))],
     )
-    (out / "structure.dot").write_text(export_dot(net, scores))
+    (out / "structure.dot").write_text(export_dot(net, scores), encoding="utf-8")
     _write_csv(out / "curves.csv", ("layer", "q", "p", "x", "phi"), curves)
     if i is not None:
         path = decision_path(net, dataset.features[i])
         _write_csv(out / "sample_path.csv", ("layer", "node", "input", "x", "phi", "share"), path.steps)
-        (out / "sample_path.txt").write_text(decision_path_text(path))
+        (out / "sample_path.txt").write_text(decision_path_text(path), encoding="utf-8")
         print(f"explain: sample={i} logit={_fmt(path.logit)}")
     top = ", ".join(ids[p] for p in ranking[:3])
     print(f"explain: top features {top}")
@@ -383,8 +384,6 @@ def _sweep_cell(values, train_ds, test_ds):
 
 def cmd_sweep(ns) -> int:
     values = _resolve("sweep", ns)
-    if values["parallel"] < 1:
-        raise ValueError(f"invalid-config: parallel must be >= 1, got {values['parallel']}")
     train_ds, test_ds = _load_split(values)
     out = Path(values["out"])
     base = {k.name: k.default for k in _KEYS["train"]} | {
@@ -399,17 +398,7 @@ def cmd_sweep(ns) -> int:
         for key, swept, others in _SWEEPS
         for v in swept
     ]
-
-    def run(cell):
-        return _sweep_cell(cell, train_ds, test_ds)
-
-    # a pool's shutdown waits for every submitted cell, so Ctrl-C in a
-    # --parallel 1 sweep stops at once only through the plain loop
-    if values["parallel"] > 1:
-        with ThreadPoolExecutor(max_workers=values["parallel"]) as pool:
-            results = list(pool.map(run, cells))
-    else:
-        results = [run(cell) for cell in cells]
+    results = [_sweep_cell(cell, train_ds, test_ds) for cell in cells]
 
     # wall-clock seconds differ from run to run, so they go to timings.csv
     # alone and the other sweep files keep their bytes
@@ -442,7 +431,7 @@ def cmd_sweep(ns) -> int:
         "reference.lbfgs_grid10.f1=0.9673",
         "reference.lbfgs_grid10.seconds=143.15",
     ]
-    (out / "reference.txt").write_text("\n".join(reference) + "\n")
+    (out / "reference.txt").write_text("\n".join(reference) + "\n", encoding="utf-8")
     _write_kv(out / "manifest.txt", values, "sweep")
     return 0
 

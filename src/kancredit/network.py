@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import json
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -70,14 +69,10 @@ __all__ = [
 # temporaries: the calling thread and a helper thread of the call (see
 # _chunk_map) each hold one chunk's working set, and it is small enough that
 # a 4096-row minibatch is two chunks, one per thread; a batch of at most
-# CHUNK rows stays on the caller.  Chunk results are merged in chunk order,
-# so they depend on this grid and never on how many threads ran the chunks.
+# CHUNK rows stays on the caller.  Concurrent callers each start their own
+# helper.  Chunk results are merged in chunk order, so they depend on this
+# grid and never on how many threads ran the chunks.
 CHUNK = 2048
-
-# held while a helper thread of a call runs (it is joined before that call
-# returns), so at most one helper is alive; a call that finds it held runs its
-# chunks alone
-_HELPER_IN_USE = threading.Lock()
 
 COEF_INIT_SCALE = 0.1
 
@@ -161,29 +156,25 @@ def _chunk_map(func, n_rows: int) -> list:
     For two or more chunks on a multi-CPU host, the call starts one helper
     thread, which runs every second chunk under the caller's numpy error
     state while the caller runs the others, and joins it before it returns
-    or raises; the results come back in chunk order.  A caller that finds
-    another call's helper running runs every chunk itself, so concurrent
-    callers never wait on each other.  A chunk that raises does not stop the
+    or raises; the results come back in chunk order.  Concurrent callers
+    each start their own helper.  A chunk that raises does not stop the
     other thread's chunks: the error reaches the caller once both are done.
     """
     chunks = [slice(lo, lo + CHUNK) for lo in range(0, n_rows, CHUNK)]
-    if len(chunks) < 2 or (os.cpu_count() or 1) < 2 or not _HELPER_IN_USE.acquire(blocking=False):
+    if len(chunks) < 2 or (os.cpu_count() or 1) < 2:
         return [func(rows) for rows in chunks]
-    try:
-        errors = np.geterr()
+    errors = np.geterr()
 
-        def helper_chunks():
-            with np.errstate(**errors):
-                return [func(rows) for rows in chunks[1::2]]
+    def helper_chunks():
+        with np.errstate(**errors):
+            return [func(rows) for rows in chunks[1::2]]
 
-        with ThreadPoolExecutor(1, thread_name_prefix="kancredit-chunk") as pool:
-            helper = pool.submit(helper_chunks)
-            mine = [func(rows) for rows in chunks[::2]]
-        results = [None] * len(chunks)
-        results[::2], results[1::2] = mine, helper.result()
-        return results
-    finally:
-        _HELPER_IN_USE.release()
+    with ThreadPoolExecutor(1, thread_name_prefix="kancredit-chunk") as pool:
+        helper = pool.submit(helper_chunks)
+        mine = [func(rows) for rows in chunks[::2]]
+    results = [None] * len(chunks)
+    results[::2], results[1::2] = mine, helper.result()
+    return results
 
 
 def _param_views(buffer: np.ndarray, widths, n_basis: int) -> list:

@@ -6,6 +6,9 @@ import json
 import os
 import re
 import shutil
+import subprocess
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +18,8 @@ import kancredit.cli as kcli
 import kancredit.network as knet
 from kancredit.cli import _KEYS, main
 from kancredit.data import load_gmsc_csv, preprocess, split
-from kancredit.network import init_network, load_network, save_network
+from kancredit.network import _layer_batch, init_network, load_network, save_network
+from kancredit.training import train
 
 from conftest import make_gmsc_rows, write_gmsc_csv
 
@@ -414,6 +418,26 @@ class TestTextArtifacts:
             assert text.endswith("\n") and not text.endswith("\n\n"), path
             assert not any("np." in line for line in text.splitlines()), path
 
+    def test_non_ascii_data_path_under_an_ascii_locale(self, data_csv, tmp_path):
+        csv = tmp_path / "d\u00e5ta.csv"
+        shutil.copyfile(data_csv, csv)
+        out = tmp_path / "run"
+        env = {k: v for k, v in os.environ.items() if k not in ("PYTHONUTF8", "PYTHONIOENCODING")}
+        env |= {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0",
+                "PYTHONPATH": str(Path(kcli.__file__).parents[1])}
+        argv = ["train", "--data", str(csv), "--out", str(out),
+                "--width", "10,1", "--grid", "5", "--steps", "3"]
+        done = subprocess.run([sys.executable, "-X", "utf8=0", "-m", "kancredit.cli", *argv],
+                              env=env, capture_output=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stderr == b""
+        manifest = (out / "manifest.txt").read_bytes()
+        assert f"data={csv}\n".encode("utf-8") in manifest
+        redo = tmp_path / "redo"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["train", "--config", str(out / "manifest.txt"), "--out", str(redo)]) == 0
+        assert (redo / "metrics_test.txt").read_bytes() == (out / "metrics_test.txt").read_bytes()
+
 
 @pytest.fixture(scope="module")
 def sweep_run(tmp_path_factory):
@@ -499,22 +523,57 @@ class TestSweep:
             )
             assert row[1:3] == [auc, f1] == [metrics["roc_auc"], metrics["class0_f1"]], cell
 
-    def test_parallel_cells_equal_serial_cells(self, tmp_path, monkeypatch):
-        # four chunks per step, so cells share or skip the helper thread
+    def test_cells_train_in_order_on_the_caller(self, tmp_path, monkeypatch):
+        # four chunks per step, so every cell's passes start a helper thread
         monkeypatch.setattr(knet, "CHUNK", 30)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        cells, helpers_alive = [], []
+
+        def recording_train(dataset, cfg):
+            cells.append((threading.current_thread(), cfg.grid_count, cfg.learning_rate))
+            return train(dataset, cfg)
+
+        def counting_layer_batch(layer, cur):
+            helpers_alive.append(
+                sum(t.name.startswith("kancredit-chunk") for t in threading.enumerate())
+            )
+            return _layer_batch(layer, cur)
+
+        monkeypatch.setattr(kcli, "train", recording_train)
+        monkeypatch.setattr(knet, "_layer_batch", counting_layer_batch)
         path = tmp_path / "small.csv"
         write_gmsc_csv(path, make_gmsc_rows(120, seed=3))
-        outs = [tmp_path / "serial", tmp_path / "parallel"]
-        for out, parallel in zip(outs, ("1", "2")):
-            with contextlib.redirect_stdout(io.StringIO()):
-                rc = main(["sweep", "--data", str(path), "--out", str(out), "--parallel", parallel])
-            assert rc == 0
-        cells = sorted(p.name for p in outs[0].iterdir() if p.is_dir())
-        assert len(cells) == 7
-        for cell in cells:
-            for name in ("model.json", "metrics.txt"):
-                assert (outs[0] / cell / name).read_bytes() == (outs[1] / cell / name).read_bytes()
+        out = tmp_path / "out"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["sweep", "--data", str(path), "--out", str(out)]) == 0
+        assert [(grid, lr) for _, grid, lr in cells] == [  # the grid study, then the lr study
+            (3, 0.1), (10, 0.1), (50, 0.1), (80, 0.1), (10, 0.1), (10, 0.01), (10, 0.001),
+        ]
+        assert {thread for thread, _, _ in cells} == {threading.current_thread()}
+        assert max(helpers_alive) == 1
+        assert (out / "manifest.txt").read_text(encoding="utf-8").splitlines() == [
+            "command=sweep", f"data={path}", f"out={out}", "seed=42", "test_fraction=0.2",
+        ]
+
+    def test_parallel_flag_is_unrecognized(self, data_csv, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = main(["sweep", "--data", str(data_csv), "--out", str(out), "--parallel", "2"])
+        assert rc == 2
+        assert "unrecognized arguments: --parallel 2" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_manifest_with_parallel_is_one_coded_line(self, data_csv, tmp_path, capsys):
+        out = tmp_path / "out"
+        cfg = tmp_path / "manifest.txt"  # a sweep manifest written while sweep had --parallel
+        cfg.write_text(
+            f"command=sweep\ndata={data_csv}\nout={out}\nparallel=1\nseed=42\ntest_fraction=0.2\n",
+            encoding="utf-8",
+        )
+        assert main(["sweep", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: invalid-config: parallel=1 in {cfg}: unknown key for sweep\n"
+        )
+        assert not out.exists()
 
 
 class TestExportCommands:
@@ -641,7 +700,7 @@ class TestNoOutputOnBadInput:
             ("sweep", ["--seed", "-1"], "invalid-seed"),
             ("export-dot", ["--seed", "-1"], "invalid-seed"),
             ("eval", ["--threshold", "nan"], "invalid-threshold"),
-            ("sweep", ["--parallel", "0"], "invalid-config"),
+            ("sweep", ["--test-fraction", "1"], "invalid-fraction"),
             ("train", ["--data", "HEADER_A_B_CSV"], "header-mismatch"),
             ("train", ["--lr", "1e300"], "diverged"),
             ("train", ["--test-fraction", "0.999"], "empty-split"),

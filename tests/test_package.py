@@ -4,7 +4,8 @@ A star import binds whatever a module's ``__all__`` lists, so these tests
 guard what the root cannot check itself: a name listed by two modules (the
 later import would shadow the earlier one without a word), a listed name
 the module only imports or never binds, and a root name that is not the
-module's own object.
+module's own object.  One more guards the concurrency rule: ``network.py``
+is the one module that starts threads.
 """
 
 import ast
@@ -12,6 +13,7 @@ import importlib
 import inspect
 import types
 from collections import Counter
+from pathlib import Path
 
 import kancredit
 
@@ -66,3 +68,18 @@ def test_root_names_are_the_modules_own_objects():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert public == set(listed)
+
+
+def test_only_network_starts_threads():
+    """Only ``network.py`` imports ``concurrent.futures``; no module imports ``threading``."""
+    imports = []  # (module file, imported top-level package)
+    for path in sorted(Path(kancredit.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imports += [(path.name, alias.name.split(".")[0]) for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imports.append((path.name, node.module.split(".")[0]))
+    threaded = {"concurrent", "threading", "_thread", "multiprocessing"}
+    assert sorted({(name, package) for name, package in imports if package in threaded}) == [
+        ("network.py", "concurrent")
+    ]
