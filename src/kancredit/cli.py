@@ -21,6 +21,7 @@ is an unknown flag, not ``--threshold``.
 """
 
 import argparse
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -151,10 +152,18 @@ _KEYS = {
 
 
 def _read_config(path):
+    """The ``(key, value)`` pairs of a UTF-8 ``key=value`` file.
+
+    The text is decoded as the file system decodes names, which undoes
+    ``_write_kv``: a path it wrote from the command line names the same file
+    again under any locale.
+    """
+    data = Path(path).read_bytes()
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        data.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ValueError(f"invalid-config: {path} is not text: {exc}") from None
+    text = os.fsdecode(data)
     pairs = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()

@@ -14,16 +14,33 @@ basis is kept banded: ``knot_span`` gives the index of the first of them and
 of ``degree + 1`` per sample.  A spline is evaluated by gathering the
 coefficients at ``span + j`` with ``np.take``, which returns the same
 elements as fancy indexing ``coef[..., span + j]`` in the same order, in
-about half the time.  Values come from the triangular recurrence
-(de Boor's local algorithm) written in the offset u = (x - t_span) / h, where
-on the uniform grid every denominator is a small integer and no knot is
-looked up.  Derivatives use the uniform-knot identity
-B'_i,k(x) = (B_i,k-1(x) - B_i+1,k-1(x)) / h.
+about half the time.
+
+On the uniform grid each basis is, on each span, a fixed polynomial in the
+offset u = (x - t_span) / h, the same for every span (the uniform B-spline
+basis matrix).  ``_integer_band`` builds these polynomials once per degree
+by running the triangular recursion (de Boor's local algorithm) on integer
+polynomials: scaling its step j by j makes every coefficient an integer
+over ``degree!``.  Each coefficient is divided by ``degree!`` once, and each
+band row is evaluated in place by Horner's rule.  Derivatives come from the
+same integers times their powers, so no lower-degree band is built.
+
+Plain Horner in u is accurate in absolute terms but not relative ones: the
+first basis of a span is (1 - u)^k / k!, and in powers of u its value near
+u = 1 is what is left when terms as large as C(k, p) / k! cancel, so its
+relative error grows without bound as it goes to zero (central differences
+of such values miss the derivative by over 1e-3).  The basis is symmetric,
+B_j(u) = B_k-j(1 - u) and B'_j(u) = -B'_k-j(1 - u), so each row is
+evaluated from the span end where it is smaller, in u or in v = 1 - u, and
+every value and derivative stays within about 1e-15 relative of exact
+evaluation near both span ends.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
+from math import factorial
 
 import numpy as np
 
@@ -121,22 +138,79 @@ def _span_offset(kv: KnotVector, x) -> tuple[np.ndarray, np.ndarray, bool]:
     return span, np.minimum(u, 1.0, out=u), scalar
 
 
-def _band(u: np.ndarray, degree: int) -> np.ndarray:
-    """Degree-``degree`` values of the bases nonzero at offsets ``u``: (degree + 1, n).
+@cache
+def _integer_band(degree: int) -> tuple[tuple[int, ...], ...]:
+    """``degree!`` times the band's bases as polynomials in the offset ``u``.
 
-    The triangular recursion on a uniform grid, in units of the spacing:
-    every denominator is the step ``j`` and both factors are >= 0.
+    Row ``j`` holds the integer coefficients of ``degree! * B_span+j(u)`` by
+    ascending power.  They come from the triangular recursion run on
+    polynomials, with step ``j`` scaled by ``j``, so that its division by the
+    step leaves integers: row ``r`` of step ``j`` is
+    ``(r + 1 - u) * row r + (u + j - r) * row r-1`` of step ``j - 1``.
     """
-    vals = np.empty((degree + 1, u.shape[0]))
-    vals[0] = 1.0
+    rows = [[1]]
     for j in range(1, degree + 1):
-        saved = 0.0
-        for r in range(j):
-            temp = vals[r] / j
-            vals[r] = saved + (r + 1 - u) * temp
-            saved = (u + (j - r - 1)) * temp
-        vals[j] = saved
-    return vals
+        step = []
+        for r in range(j + 1):
+            poly = [0] * (j + 1)
+            if r < j:
+                for p, c in enumerate(rows[r]):
+                    poly[p] += (r + 1) * c
+                    poly[p + 1] -= c
+            if r > 0:
+                for p, c in enumerate(rows[r - 1]):
+                    poly[p] += (j - r) * c
+                    poly[p + 1] += c
+            step.append(poly)
+        rows = step
+    return tuple(tuple(row) for row in rows)
+
+
+@cache
+def _horner_plan(degree: int, order: int) -> tuple[tuple[bool, tuple[float, ...]], ...]:
+    """Per band row: whether it is evaluated in ``u`` or in ``1 - u``, and its coefficients.
+
+    ``order`` 0 gives the values and 1 the derivatives in ``u``.  The
+    coefficients run from the highest power down, for Horner, and each is
+    one integer of ``_integer_band`` (times its power, for a derivative)
+    divided once by ``degree!``.  A row is evaluated from the span end where
+    it is smaller in magnitude, so that a value or derivative near zero at a
+    span end keeps its relative accuracy: by the symmetry of the uniform
+    basis, row ``j`` in ``u`` is row ``degree - j`` in ``v = 1 - u``, and its
+    derivative is minus that row's derivative in ``v``.
+    """
+    table = _integer_band(degree)
+    if order:
+        table = tuple(tuple(p * c for p, c in enumerate(row))[1:] for row in table)
+    sign = (-1) ** order
+    scale = factorial(degree)
+    plan = []
+    for j, row in enumerate(table):
+        in_u = abs(row[0]) <= abs(sum(row))  # row(0) against row(1)
+        ints = row if in_u else [sign * c for c in table[degree - j]]
+        plan.append((in_u, tuple(c / scale for c in reversed(ints))))
+    return tuple(plan)
+
+
+def _horner_band(kv: KnotVector, x, order: int) -> np.ndarray:
+    """Band of ``order`` (0 values, 1 derivatives in x) at ``x``, laid out as ``basis_values``'.
+
+    Each row of the contiguous ``(degree + 1, n)`` band is one polynomial of
+    ``_horner_plan``, evaluated in place by Horner's rule; a derivative's
+    coefficients are divided by the spacing.
+    """
+    _, u, scalar = _span_offset(kv, x)
+    v = 1.0 - u
+    unit = kv.spacing**order
+    band = np.empty((kv.degree + 1, u.shape[0]))
+    for row, (in_u, coefs) in zip(band, _horner_plan(kv.degree, order)):
+        t = u if in_u else v
+        row.fill(coefs[0] / unit)
+        for c in coefs[1:]:
+            row *= t
+            if c:
+                row += c / unit
+    return band.T[0] if scalar else band.T
 
 
 def knot_span(knots: KnotVector, x):
@@ -158,9 +232,7 @@ def basis_values(knots: KnotVector, x) -> np.ndarray:
     band one basis per row without a copy.  Values are non-negative and
     each row sums to 1 on the nominal range.
     """
-    _, u, scalar = _span_offset(knots, x)
-    band = _band(u, knots.degree).T
-    return band[0] if scalar else band
+    return _horner_band(knots, x, 0)
 
 
 def basis_derivatives(knots: KnotVector, x) -> np.ndarray:
@@ -168,21 +240,16 @@ def basis_derivatives(knots: KnotVector, x) -> np.ndarray:
 
     Derivatives are taken with respect to the clamped input, so they describe
     the basis on the nominal range only.  Degree 0 bases are piecewise
-    constant and have no useful derivative here.  On the uniform grid
-    B'_i,k = (B_i,k-1 - B_i+1,k-1) / h, and the degree k-1 bases nonzero on
-    the span are bases 1 ... k of the band.
+    constant and have no useful derivative here.  Each row is the derivative
+    of the row's integer polynomial divided by ``degree!`` and the spacing,
+    evaluated by Horner's rule in u or, through B'_j(u) = -B'_k-j(1 - u), in
+    1 - u: from the span end where the derivative is smaller, so that one
+    vanishing there (at a support end, or at the centre of an odd-degree
+    basis) keeps its relative accuracy.
     """
     if knots.degree < 1:
         raise ValueError("unsupported-degree: derivatives need degree >= 1")
-    _, u, scalar = _span_offset(knots, x)
-    lower = _band(u, knots.degree - 1)
-    band = np.empty((knots.degree + 1, u.shape[0]))
-    np.negative(lower[0], out=band[0])
-    np.subtract(lower[:-1], lower[1:], out=band[1:-1])
-    band[-1] = lower[-1]
-    band /= knots.spacing
-    band = band.T
-    return band[0] if scalar else band
+    return _horner_band(knots, x, 1)
 
 
 def _band_dot(coef: np.ndarray, first: np.ndarray, band: np.ndarray) -> np.ndarray:

@@ -425,18 +425,27 @@ class TestTextArtifacts:
         env = {k: v for k, v in os.environ.items() if k not in ("PYTHONUTF8", "PYTHONIOENCODING")}
         env |= {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0",
                 "PYTHONPATH": str(Path(kcli.__file__).parents[1])}
-        argv = ["train", "--data", str(csv), "--out", str(out),
-                "--width", "10,1", "--grid", "5", "--steps", "3"]
-        done = subprocess.run([sys.executable, "-X", "utf8=0", "-m", "kancredit.cli", *argv],
-                              env=env, capture_output=True, timeout=120)
-        assert done.returncode == 0, done.stderr
-        assert done.stderr == b""
+
+        def run_ascii(*argv):
+            done = subprocess.run([sys.executable, "-X", "utf8=0", "-m", "kancredit.cli", *argv],
+                                  env=env, capture_output=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+            assert done.stderr == b""
+
+        run_ascii("train", "--data", str(csv), "--out", str(out),
+                  "--width", "10,1", "--grid", "5", "--steps", "3")
         manifest = (out / "manifest.txt").read_bytes()
         assert f"data={csv}\n".encode("utf-8") in manifest
         redo = tmp_path / "redo"
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["train", "--config", str(out / "manifest.txt"), "--out", str(redo)]) == 0
-        assert (redo / "metrics_test.txt").read_bytes() == (out / "metrics_test.txt").read_bytes()
+        # the rerun under the same locale reads the path back as the bytes it was written from
+        again = tmp_path / "again"
+        run_ascii("train", "--config", str(out / "manifest.txt"), "--out", str(again))
+        for rerun in (redo, again):
+            assert (rerun / "metrics_test.txt").read_bytes() == (out / "metrics_test.txt").read_bytes()
+            assert (rerun / "manifest.txt").read_bytes() == manifest.replace(
+                f"out={out}\n".encode(), f"out={rerun}\n".encode())
 
 
 @pytest.fixture(scope="module")

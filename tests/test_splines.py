@@ -1,5 +1,8 @@
 """B-spline basis tests against a naive textbook recursion oracle."""
 
+from fractions import Fraction
+from math import comb, factorial
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,7 @@ from kancredit.splines import (
     KnotVector,
     SplineParams,
     _band_dot,
+    _integer_band,
     make_knot_vector,
     knot_span,
     basis_values,
@@ -16,10 +20,13 @@ from kancredit.splines import (
 
 
 def naive_basis(t, i, k, x):
-    """Cox-de Boor recursion, straight from the definition.  Slow on purpose."""
+    """Cox-de Boor recursion, straight from the definition.  Slow on purpose.
+
+    Exact when ``t`` and ``x`` are Fractions.
+    """
     if k == 0:
-        return 1.0 if t[i] <= x < t[i + 1] else 0.0
-    out = 0.0
+        return 1 if t[i] <= x < t[i + 1] else 0
+    out = 0
     d1 = t[i + k] - t[i]
     if d1 > 0:
         out += (x - t[i]) / d1 * naive_basis(t, i, k - 1, x)
@@ -201,6 +208,51 @@ class TestBasisDerivatives:
         rng = np.random.default_rng(23)
         x = rng.uniform(-1.0, 1.0, size=100)
         assert np.max(np.abs(basis_derivatives(kv, x).sum(axis=1))) < 1e-10
+
+
+class TestIntegerTable:
+    """The integer polynomials behind the band, and their evaluation near the span ends."""
+
+    @pytest.mark.parametrize("degree", range(6))
+    def test_rows_sum_to_the_exact_partition_of_unity(self, degree):
+        table = _integer_band(degree)
+        assert len(table) == degree + 1 and all(len(row) == degree + 1 for row in table)
+        assert [sum(col) for col in zip(*table)] == [factorial(degree)] + [0] * degree
+
+    @pytest.mark.parametrize("degree", range(6))
+    def test_row_j_in_u_is_row_k_minus_j_in_one_minus_u(self, degree):
+        table = _integer_band(degree)
+        for j, row in enumerate(table):
+            mirrored = [0] * (degree + 1)  # coefficients of table[degree - j](1 - u)
+            for p, c in enumerate(table[degree - j]):
+                for i in range(p + 1):
+                    mirrored[i] += c * comb(p, i) * (-1) ** i
+            assert mirrored == list(row), j
+
+    @pytest.mark.parametrize("degree", range(6))
+    def test_relative_accuracy_near_both_span_ends(self, degree):
+        # unit spacing on integer knots: u = x - span exactly, and the Cox-de Boor
+        # recursion on Fractions gives each basis and derivative exactly
+        kv = make_knot_vector(0.0, 6.0, 6, degree)
+        knots = [Fraction(float(t)) for t in kv.knots]
+        offsets = [1e-8, 1e-6, 1e-4, 1e-2, 0.1, 0.3]
+        x = np.array([3.0 + d for d in offsets] + [4.0 - d for d in offsets])
+        assert np.all(knot_span(kv, x) == 3)
+        orders = [(0, basis_values)] + [(1, basis_derivatives)] * (degree > 0)
+        for order, band_of in orders:
+            got = band_of(kv, x)
+            for row, xi in zip(got, x):
+                xf = Fraction(float(xi))
+                for j, value in enumerate(row):
+                    i = 3 + j  # the basis, numbered as the knot vector numbers them
+                    if order:  # B'_i,k = B_i,k-1 - B_i+1,k-1 at unit spacing
+                        want = (naive_basis(knots, i, degree - 1, xf)
+                                - naive_basis(knots, i + 1, degree - 1, xf))
+                    else:
+                        want = naive_basis(knots, i, degree, xf)
+                    assert want != 0
+                    err = abs((Fraction(float(value)) - want) / want)
+                    assert err < Fraction(1, 10**14), (order, float(xi), j, float(err))
 
 
 class TestEvalSpline:
