@@ -21,6 +21,19 @@ of one; ``layer_forward`` passes ``_layer_batch`` a batch of one, and
 works on the banded basis: for each input it gathers the ``degree + 1``
 coefficients from ``knot_span`` on and weights them by ``basis_values``,
 summing in a fixed order, so an edge's value is the same in any batch.
+
+Full-batch training feeds layer 0 the same matrix at every step, so
+``training.train`` finds that matrix's band positions (each entry's knot
+interval and offset, ``_band_positions``) once per run and passes them down
+through ``_walk``; layer 0 then takes its first index from the interval and
+its band from ``splines._band_at`` at the offset, the same numbers
+``knot_span`` and ``basis_values`` give.  Every other pass (minibatch steps,
+hidden layers, inference, attribution) has no positions and calls
+``knot_span`` and ``basis_values`` on its inputs, which find the positions
+once each.  That path keeps ``basis_values`` because the benchmark's traced
+runs (``perfbench/run.py``, ``REACHES``) require it to be called; once that
+pin goes, one ``_span_offset`` per layer pass can feed ``_band_at``
+everywhere.
 """
 
 from __future__ import annotations
@@ -35,8 +48,10 @@ import numpy as np
 from kancredit.splines import (
     KnotVector,
     SplineParams,
+    _band_at,
     _band_dot,
     _check_grid,
+    _span_offset,
     basis_values,
     knot_span,
     make_knot_vector,
@@ -226,7 +241,7 @@ def init_network(widths, grid_count: int, degree: int, seed: int) -> KanNetwork:
     return net
 
 
-def _layer_batch(layer: KanLayer, X: np.ndarray):
+def _layer_batch(layer: KanLayer, X: np.ndarray, positions=None):
     """The layer on a batch X of shape (n, n_in): the one place phi is computed.
 
     Returns (Y, phi, cache): node sums Y (n, n_out), edge outputs phi
@@ -234,13 +249,19 @@ def _layer_batch(layer: KanLayer, X: np.ndarray):
     silu, sigmoid) that the backward pass needs.  ``first`` (n, n_in) is the
     flat index of the first nonzero basis's coefficient in ``coef[q]``
     raveled, ``span + p * n_basis``, and ``band`` (degree + 1, n, n_in)
-    the values of the bases from there on.
+    the values of the bases from there on.  ``positions``, if given, is
+    X's ``(span, u)`` from ``_band_positions``, and spares finding them again.
     """
     n = X.shape[0]
     kv = layer.knots
-    first = knot_span(kv, X.ravel()).reshape(n, layer.n_in)
-    first += np.arange(layer.n_in) * kv.n_basis
-    band = basis_values(kv, X.ravel()).T.reshape(-1, n, layer.n_in)
+    if positions is None:
+        span = knot_span(kv, X.ravel()).reshape(n, layer.n_in)
+        band = basis_values(kv, X.ravel()).T
+    else:
+        span, u = positions
+        band = _band_at(kv, u.ravel(), 0)
+    first = span + np.arange(layer.n_in) * kv.n_basis
+    band = band.reshape(-1, n, layer.n_in)
     coef = layer.coef.reshape(layer.n_out, -1)
     spline_out = _band_dot(coef, first, band).transpose(1, 0, 2)
     sig = sigmoid(X)
@@ -250,14 +271,36 @@ def _layer_batch(layer: KanLayer, X: np.ndarray):
     return phi.sum(axis=2), phi, (X, first, band, spline_out, sil, sig)
 
 
-def _walk(net: KanNetwork, X: np.ndarray):
+def _band_positions(kv: KnotVector, X: np.ndarray):
+    """Each entry's knot interval ``span`` and offset ``u`` in it, as ``_layer_batch`` takes them.
+
+    ``span`` is stored in the narrowest unsigned type that holds
+    ``interior_count - 1`` (one byte per entry up to 256 intervals) and
+    ``u`` as float64, both of X's shape (n, n_in), filled chunk by chunk.
+    """
+    span = np.empty(X.shape, dtype=np.min_scalar_type(kv.interior_count - 1))
+    u = np.empty(X.shape)
+
+    def chunk(rows):
+        chunk_span, chunk_u, _ = _span_offset(kv, X[rows].ravel())
+        span[rows] = chunk_span.reshape(-1, X.shape[1])
+        u[rows] = chunk_u.reshape(-1, X.shape[1])
+
+    _chunk_map(chunk, X.shape[0])
+    return span, u
+
+
+def _walk(net: KanNetwork, X: np.ndarray, positions=None):
     """Each layer's ``_layer_batch`` result (Y, phi, cache) in turn, its Y the next layer's input.
 
     The one walk of a batch through the layers.  It yields, so a caller
-    keeps of each layer only what it needs.
+    keeps of each layer only what it needs.  ``positions`` are X's band
+    positions, for layer 0 only.
     """
+    extra = () if positions is None else (positions,)
     for layer in net.layers:
-        X, phi, cache = _layer_batch(layer, X)
+        X, phi, cache = _layer_batch(layer, X, *extra)
+        extra = ()
         yield X, phi, cache
 
 

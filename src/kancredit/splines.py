@@ -192,14 +192,13 @@ def _horner_plan(degree: int, order: int) -> tuple[tuple[bool, tuple[float, ...]
     return tuple(plan)
 
 
-def _horner_band(kv: KnotVector, x, order: int) -> np.ndarray:
-    """Band of ``order`` (0 values, 1 derivatives in x) at ``x``, laid out as ``basis_values``'.
+def _band_at(kv: KnotVector, u: np.ndarray, order: int) -> np.ndarray:
+    """Contiguous ``(degree + 1, n)`` band of ``order`` (0 values, 1 derivatives in x) at offsets ``u``.
 
-    Each row of the contiguous ``(degree + 1, n)`` band is one polynomial of
-    ``_horner_plan``, evaluated in place by Horner's rule; a derivative's
-    coefficients are divided by the spacing.
+    ``u`` is a 1-D array of ``_span_offset`` offsets.  Each row is one
+    polynomial of ``_horner_plan``, evaluated in place by Horner's rule; a
+    derivative's coefficients are divided by the spacing.
     """
-    _, u, scalar = _span_offset(kv, x)
     v = 1.0 - u
     unit = kv.spacing**order
     band = np.empty((kv.degree + 1, u.shape[0]))
@@ -210,6 +209,13 @@ def _horner_band(kv: KnotVector, x, order: int) -> np.ndarray:
             row *= t
             if c:
                 row += c / unit
+    return band
+
+
+def _horner_band(kv: KnotVector, x, order: int) -> np.ndarray:
+    """Band of ``order`` at ``x``, laid out as ``basis_values``': ``_band_at`` at x's offsets."""
+    _, u, scalar = _span_offset(kv, x)
+    band = _band_at(kv, u, order)
     return band.T[0] if scalar else band.T
 
 

@@ -24,6 +24,18 @@ describes the grid and its threads, so full-batch training on hundreds of
 thousands of rows stays inside a small memory budget.  Each chunk's loss sum
 and gradient go into buffers of their own, which are added up in chunk
 order.
+
+When every step sees all rows, ``train`` finds layer 0's band positions of
+the training matrix (``network._band_positions``: each entry's knot interval
+in one byte up to 256 intervals, and its float64 offset, 9 bytes per entry)
+once, on its first step, and passes them to every ``backward``; caching the
+whole band instead would hold 40 bytes per entry at degree 4.  Minibatch
+steps draw new rows each step and pass none, and neither does
+``grad_check``, so they find the positions per chunk through ``knot_span``
+and ``basis_values``, as inference and attribution do.  Both sources give
+the same numbers, so a full-batch run is bit for bit the loop of plain
+``backward`` calls.  Full-batch steps still call the public ``backward``
+once each, which the benchmark times step by step.
 """
 
 from __future__ import annotations
@@ -37,6 +49,7 @@ import numpy as np
 from kancredit.network import (
     KanLayer,
     KanNetwork,
+    _band_positions,
     _check_features,
     _chunk_map,
     _param_views,
@@ -167,21 +180,28 @@ def _layer_backward(layer: KanLayer, cache, grad, grad_views, need_input: bool):
     )
 
 
-def backward(net: KanNetwork, batch_x, batch_y):
+def backward(net: KanNetwork, batch_x, batch_y, positions=None):
     """Mean BCE loss and its gradient in canonical parameter order.
 
     Each chunk's loss sum and gradient are computed in buffers of their own,
     on the calling thread and a helper thread of the call, joined before it
-    returns, and added up in chunk order.
+    returns, and added up in chunk order.  ``positions``, if given, is
+    ``batch_x``'s ``(span, u)`` from ``network._band_positions``: layer 0
+    then reads them instead of finding them again, with the same result.
     """
     x, y = _check_batch(net, batch_x, batch_y)
     n_total = x.shape[0]
+    if positions is not None:
+        shapes = [np.shape(part) for part in positions]
+        if shapes != [x.shape] * 2:
+            raise ValueError(f"dimension-mismatch: positions {shapes} do not match features {x.shape}")
 
     def chunk(rows):
         flat = np.zeros_like(net.params)
         grad_views = _param_views(flat, net.widths, net.layers[0].knots.n_basis)
+        sliced = None if positions is None else tuple(part[rows] for part in positions)
         # each layer's output and cache, not its phi: every phi held to the end would raise the peak
-        outs, caches = zip(*[(out, cache) for out, _, cache in _walk(net, x[rows])])
+        outs, caches = zip(*[(out, cache) for out, _, cache in _walk(net, x[rows], sliced)])
         z, yc = outs[-1][:, 0], y[rows]
         grad = ((sigmoid(z) - yc) / n_total)[:, None]
         for li in range(len(net.layers) - 1, -1, -1):
@@ -242,17 +262,22 @@ def train(dataset, cfg: TrainConfig):
     """Train a fresh network on ``dataset`` (anything with .features/.labels).
 
     A non-finite loss or gradient stops the run before its Adam update with
-    ``diverged: step N``.
+    ``diverged: step N``.  When every step sees all rows, layer 0's band
+    positions of the training matrix are found once, on the first step.
     """
     net = init_network(list(cfg.widths), cfg.grid_count, cfg.degree, cfg.seed)
     rng = np.random.default_rng(cfg.seed)
+    positions = None
 
     def loss_and_grad(params, x, y):
+        nonlocal positions
         set_params(net, params)
         if cfg.batch_size != -1 and cfg.batch_size < x.shape[0]:
             idx = rng.choice(x.shape[0], size=cfg.batch_size, replace=False)
-            x, y = x[idx], y[idx]
-        return backward(net, x, y)
+            return backward(net, x[idx], y[idx])
+        if positions is None:
+            positions = _band_positions(net.layers[0].knots, x)
+        return backward(net, x, y, positions)
 
     params, history, seconds = _fit(dataset, flatten_params(net), loss_and_grad, cfg)
     set_params(net, params)

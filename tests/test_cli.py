@@ -542,11 +542,11 @@ class TestSweep:
             cells.append((threading.current_thread(), cfg.grid_count, cfg.learning_rate))
             return train(dataset, cfg)
 
-        def counting_layer_batch(layer, cur):
+        def counting_layer_batch(layer, cur, *rest):  # rest: a full-batch step's layer-0 positions
             helpers_alive.append(
                 sum(t.name.startswith("kancredit-chunk") for t in threading.enumerate())
             )
-            return _layer_batch(layer, cur)
+            return _layer_batch(layer, cur, *rest)
 
         monkeypatch.setattr(kcli, "train", recording_train)
         monkeypatch.setattr(knet, "_layer_batch", counting_layer_batch)

@@ -499,6 +499,28 @@ class TestLoadCsv:
         assert peak < 15e6, peak
 
 
+    def test_each_distinct_optional_cell_is_parsed_once(self, tmp_path, monkeypatch):
+        rows = make_gmsc_rows(60, seed=4)
+        for i, row in enumerate(rows):
+            row[5] = (None, 4200, 3100)[i % 3]  # MonthlyIncome
+            row[10] = (None, 0, 2, 3100)[i % 4]  # NumberOfDependents; "3100" is in both columns
+        path = tmp_path / "repeats.csv"
+        write_gmsc_csv(path, rows)
+        want = load_gmsc_csv(path)
+        parsed = []
+        real = data._optional_cell
+        monkeypatch.setattr(data, "_optional_cell", lambda cell: parsed.append(cell) or real(cell))
+        table = load_gmsc_csv(path)
+        assert sorted(parsed) == ["0", "2", "3100", "4200", "NA"]
+        assert table.raw.tobytes() == want.raw.tobytes()
+
+    def test_a_refused_optional_cell_is_not_kept(self):
+        cells = data._OptionalCells()
+        assert cells["NA"] != cells["NA"] and cells["12.5"] == 12.5
+        with pytest.raises(ValueError, match="not a missing token"):
+            cells["+nan"]
+        assert sorted(cells) == ["12.5", "NA"]
+
 class TestPreprocess:
     def test_totality_and_range(self, gmsc_csv):
         ds = preprocess(load_gmsc_csv(gmsc_csv))

@@ -149,7 +149,7 @@ class TestEdgeScoresChunkHelper:
         monkeypatch.setattr(knet, "CHUNK", 7)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
 
-    def test_helper_on_busy_and_one_cpu_agree_bit_for_bit(self, monkeypatch):
+    def test_helper_on_and_one_cpu_agree_bit_for_bit(self, monkeypatch):
         net, x, y = _chunked_problem(10)
         ds = dataset_from_arrays(x, y)
         helper_ran = threading.Event()

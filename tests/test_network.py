@@ -485,7 +485,7 @@ class TestLogitsChunkHelper:
         monkeypatch.setattr(knet, "CHUNK", 7)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
 
-    def test_helper_on_busy_and_one_cpu_agree_bit_for_bit(self, monkeypatch):
+    def test_helper_on_and_one_cpu_agree_bit_for_bit(self, monkeypatch):
         net, x, _ = _chunked_problem(9)
         helper_ran = threading.Event()
         with monkeypatch.context() as m:

@@ -12,8 +12,10 @@ import numpy as np
 import pytest
 
 import kancredit.network as knet
+import kancredit.training as ktrain
 from kancredit.explain import edge_scores
 from kancredit.network import (
+    _band_positions,
     _chunk_map,
     _layer_batch,
     flatten_params,
@@ -24,7 +26,7 @@ from kancredit.network import (
     sigmoid,
     silu,
 )
-from kancredit.splines import basis_derivatives
+from kancredit.splines import _span_offset, basis_derivatives, knot_span, make_knot_vector
 from kancredit.training import (
     AdamState,
     TrainConfig,
@@ -349,6 +351,116 @@ class TestTwoThreadPeakMemory:
             tracemalloc.stop()
         assert helper_ran.is_set()
         assert peak < 10e6
+
+
+    def test_full_batch_train_holds_only_the_positions_more(self, monkeypatch):
+        # layer 0's positions are 9 bytes per entry; a cached band would be 40 (degree 4)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        rng = np.random.default_rng(29)
+        x = rng.uniform(-1.2, 1.2, size=(16384, 10))
+        y = rng.integers(0, 2, size=16384).astype(np.float64)
+        cfg = TrainConfig(widths=(10, 4, 1), grid_count=30, degree=4, steps=2, seed=3)
+        # a first run imports numpy.ma (about 1 MB), which is no part of a run's memory
+        train(SimpleNamespace(features=x[:50], labels=y[:50]), cfg)
+        helper_ran = threading.Event()
+        monkeypatch.setattr(knet, "_layer_batch", _shared_with_the_helper(_layer_batch, helper_ran))
+        tracemalloc.start()
+        try:
+            train(SimpleNamespace(features=x, labels=y), cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert helper_ran.is_set()
+        assert peak < 10e6 + 9 * x.size
+
+
+def _positions_problem(widths, grid_count, seed, rows=23):
+    """A perturbed net and a batch whose first row holds the range ends and points past them."""
+    net = init_network(widths, grid_count, 4, seed=seed)
+    rng = np.random.default_rng(seed)
+    set_params(net, rng.normal(0, 0.5, parameter_count(net)))
+    x = rng.uniform(-1.2, 1.2, size=(rows, widths[0]))
+    x[0, :4] = (-1.0, 1.0, -3.0, 3.0)
+    y = (rng.random(rows) < 0.4).astype(np.float64)
+    return net, x, y
+
+
+class TestBandPositions:
+    """Layer 0's band positions, found once per full-batch run, against finding them per chunk."""
+
+    @pytest.mark.parametrize("cpus", [2, 1], ids=["helper", "one_cpu"])
+    @pytest.mark.parametrize(
+        "widths, grid_count", [([10, 1], 80), ([10, 4, 1], 30)], ids=["10x1", "10x4x1"]
+    )
+    def test_backward_with_positions_keeps_every_bit(self, monkeypatch, widths, grid_count, cpus):
+        monkeypatch.setattr(knet, "CHUNK", 7)  # 7 + 7 + 7 + 2 rows
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        net, x, y = _positions_problem(widths, grid_count, seed=41)
+        plain_loss, plain_grad = backward(net, x, y)
+        positions = _band_positions(net.layers[0].knots, x)
+        spans_found = []
+        counting_span = lambda kv, points: spans_found.append(np.size(points)) or knot_span(kv, points)
+        helper_ran = threading.Event()
+        with monkeypatch.context() as m:
+            m.setattr(knet, "knot_span", counting_span)
+            if cpus == 2:
+                m.setattr(knet, "_layer_batch", _shared_with_the_helper(_layer_batch, helper_ran))
+            loss, grad = backward(net, x, y, positions)
+        assert helper_ran.is_set() == (cpus == 2)
+        # only hidden layers find their own positions
+        assert sum(spans_found) == 23 * sum(widths[1:-1])
+        assert np.float64(loss).tobytes() == np.float64(plain_loss).tobytes()
+        assert grad.tobytes() == plain_grad.tobytes()
+
+    @pytest.mark.parametrize("batch", ["all", "n"])
+    def test_full_batch_train_is_the_plain_backward_loop(self, monkeypatch, batch):
+        monkeypatch.setattr(knet, "CHUNK", 7)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        net, x, y = _positions_problem([10, 4, 1], 30, seed=42)
+        cfg = TrainConfig(widths=(10, 4, 1), grid_count=30, degree=4, steps=6, seed=5,
+                          batch_size=-1 if batch == "all" else x.shape[0])
+        found = []
+        counting = lambda kv, X: found.append(X.shape) or _band_positions(kv, X)
+        monkeypatch.setattr(ktrain, "_band_positions", counting)
+        trained, report = train(SimpleNamespace(features=x, labels=y), cfg)
+        assert found == [x.shape]
+        net = init_network(list(cfg.widths), cfg.grid_count, cfg.degree, cfg.seed)
+        params, state, history = flatten_params(net), AdamState.zeros(parameter_count(net)), []
+        for t in range(1, cfg.steps + 1):
+            set_params(net, params)
+            loss, grads = backward(net, x, y)
+            params, state = adam_step(params, grads, state, t, cfg)
+            history.append(loss)
+        assert flatten_params(trained).tobytes() == params.tobytes()
+        assert report.loss_history.tobytes() == np.array(history).tobytes()
+
+    def test_range_ends_land_in_the_end_intervals(self):
+        kv = make_knot_vector(-1.0, 1.0, 5, 3)
+        x = np.array([[-1.0, 1.0, -3.0, 3.0, np.nextafter(1.0, 0.0)], [0.0, 0.4, -0.6, 0.99, -1e-300]])
+        span, u = _band_positions(kv, x)
+        assert span.dtype == np.uint8 and u.dtype == np.float64
+        assert span[0].tolist() == [0, 4, 0, 4, 4]
+        assert u[0, 0] == u[0, 2] == 0.0 and u[0, 1] == u[0, 3] == pytest.approx(1.0, abs=1e-15)
+        assert np.array_equal(span, knot_span(kv, x.ravel()).reshape(x.shape))
+        assert u.tobytes() == _span_offset(kv, x.ravel())[1].tobytes()
+
+    @pytest.mark.parametrize(
+        "grid_count, dtype", [(1, np.uint8), (256, np.uint8), (257, np.uint16), (300, np.uint16)]
+    )
+    def test_span_type_is_the_narrowest_that_holds_the_last_interval(self, grid_count, dtype):
+        kv = make_knot_vector(-1.0, 1.0, grid_count, 3)
+        x = np.array([[1.0, -1.0, 0.5]])
+        span, _ = _band_positions(kv, x)
+        assert span.dtype == dtype
+        assert span.tolist() == [[grid_count - 1, 0, knot_span(kv, 0.5)]]
+
+    def test_positions_of_another_shape_are_refused(self):
+        net, x, y = _positions_problem([10, 1], 80, seed=43)
+        kv = net.layers[0].knots
+        message = r"^dimension-mismatch: positions .* do not match features \(23, 10\)$"
+        for wrong in (_band_positions(kv, x[:-1]), _band_positions(kv, x[:, :-1]), _band_positions(kv, x)[:1]):
+            with pytest.raises(ValueError, match=message):
+                backward(net, x, y, wrong)
 
 
 class TestGradCheck:
