@@ -14,10 +14,17 @@ configuration failures print one ``error: <code>: <detail>`` line to stderr,
 where ``<code>`` is the machine-readable prefix carried by the exception. A
 bad flag or config value gives one ``invalid-config`` line naming the setting
 and where it came from: ``--grid abc`` or ``grid=abc in <file>``; so does a
-config ``<key>=none`` for a key that has a default value. A flag that
-takes a value takes the next argument, even one that starts with ``-``. A
-flag is spelled in full: argparse's prefix matching is off, so ``--thresh``
-is an unknown flag, not ``--threshold``.
+config ``<key>=none`` for a key that has a default value, and a config file
+that sets a key twice. A flag given twice takes its last value, as argparse
+does, so a shell alias's flags can be overridden. A flag that takes a value
+takes the next argument, even one that starts with ``-``. A flag is spelled
+in full: argparse's prefix matching is off, so ``--thresh`` is an unknown
+flag, not ``--threshold``.
+
+Each setting that several subcommands share is one ``_Key``: ``data``,
+``out`` (required, or optional with stdout), ``model``, ``on``, ``points``
+and the ``_SPLIT`` group of ``seed`` and ``test_fraction``, which ``train``
+splits by and ``eval``, ``explain``, ``sweep`` and ``export-dot`` rebuild from.
 """
 
 import argparse
@@ -91,63 +98,46 @@ class _Key:
         return "--" + self.name.replace("_", "-")
 
 
+# settings that several subcommands share, one definition each
+_DATA = _Key("data", str, required=True, help="GMSC-format CSV")
+_OUT = _Key("out", str, required=True, help="output directory")
+_OUT_OR_STDOUT = _Key("out", str, help="output directory; stdout when omitted")
+_MODEL = _Key("model", str, required=True, help="checkpoint JSON from train")
+_ON = _Key("on", _parse_split_name, "test", help="train or test (default test)")
+_POINTS = _Key("points", int, 100, help="samples per activation curve")
+# the split that train makes and eval, explain, sweep and export-dot rebuild
+_SPLIT = (
+    _Key("seed", int, 42, help="seed for the split (train: also init and batching)"),
+    _Key("test_fraction", float, 0.2, help="share of rows held out for the test split"),
+)
+
 # every subcommand's settings, in --help order; the parser is built from them
 _KEYS = {
     "train": (
-        _Key("data", str, required=True, help="GMSC-format CSV"),
-        _Key("out", str, required=True, help="output directory"),
+        _DATA, _OUT,
         _Key("width", _parse_width, (10, 4, 1), help="layer widths, e.g. 10,4,1"),
         _Key("grid", int, 30, help="spline grid interval count"),
         _Key("k", int, 4, help="spline degree"),
         _Key("lr", float, 0.1, help="Adam learning rate"),
         _Key("steps", int, 100, help="training steps"),
         _Key("batch", int, -1, help="batch size, -1 for full batch"),
-        _Key("seed", int, 42, help="seed for init, batching, and split"),
-        _Key("test_fraction", float, 0.2),
+        *_SPLIT,
         _Key("dump_data", _parse_bool, False,
              help="also write the preprocessed train/test CSVs and scaler"),
     ),
     "eval": (
-        _Key("model", str, required=True, help="checkpoint JSON from train"),
-        _Key("data", str, required=True, help="GMSC-format CSV"),
-        _Key("out", str, required=True, help="output directory"),
-        _Key("on", _parse_split_name, "test", help="train or test (default test)"),
-        _Key("threshold", float, 0.5),
-        _Key("seed", int, 42),
-        _Key("test_fraction", float, 0.2),
+        _MODEL, _DATA, _OUT, _ON,
+        _Key("threshold", float, 0.5, help="probability cut-off for the class metrics"),
+        *_SPLIT,
         _Key("width", _parse_width, help="assert checkpoint widths"),
         _Key("grid", int, help="assert checkpoint grid"),
         _Key("k", int, help="assert checkpoint degree"),
     ),
-    "explain": (
-        _Key("model", str, required=True, help="checkpoint JSON from train"),
-        _Key("data", str, required=True, help="GMSC-format CSV"),
-        _Key("out", str, required=True, help="output directory"),
-        _Key("on", _parse_split_name, "test"),
-        _Key("seed", int, 42),
-        _Key("test_fraction", float, 0.2),
-        _Key("points", int, 100, help="samples per activation curve"),
-        _Key("sample", int, help="also trace this row's decision path"),
-    ),
-    "sweep": (
-        _Key("data", str, required=True, help="GMSC-format CSV"),
-        _Key("out", str, required=True, help="output directory"),
-        _Key("seed", int, 42),
-        _Key("test_fraction", float, 0.2),
-    ),
-    "export-dot": (
-        _Key("model", str, required=True, help="checkpoint JSON from train"),
-        _Key("data", str, required=True, help="GMSC-format CSV (edge widths come from data)"),
-        _Key("out", str, help="output directory; stdout when omitted"),
-        _Key("on", _parse_split_name, "test"),
-        _Key("seed", int, 42),
-        _Key("test_fraction", float, 0.2),
-    ),
-    "curves": (
-        _Key("model", str, required=True, help="checkpoint JSON from train"),
-        _Key("out", str, help="output directory; stdout when omitted"),
-        _Key("points", int, 100),
-    ),
+    "explain": (_MODEL, _DATA, _OUT, _ON, *_SPLIT, _POINTS,
+                _Key("sample", int, help="also trace this row's decision path")),
+    "sweep": (_DATA, _OUT, *_SPLIT),
+    "export-dot": (_MODEL, _DATA, _OUT_OR_STDOUT, _ON, *_SPLIT),
+    "curves": (_MODEL, _OUT_OR_STDOUT, _POINTS),
 }
 
 
@@ -156,7 +146,7 @@ def _read_config(path):
 
     The text is decoded as the file system decodes names, which undoes
     ``_write_kv``: a path it wrote from the command line names the same file
-    again under any locale.
+    again under any locale. A key set on two lines is refused.
     """
     data = Path(path).read_bytes()
     try:
@@ -164,15 +154,19 @@ def _read_config(path):
     except UnicodeDecodeError as exc:
         raise ValueError(f"invalid-config: {path} is not text: {exc}") from None
     text = os.fsdecode(data)
-    pairs = []
+    pairs, where = [], {}  # key -> "line <n> <text>" that set it
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise ValueError(f"invalid-config: line {lineno} of {path} is not key=value")
-        key, _, value = line.partition("=")
-        pairs.append((key.strip(), value.strip()))
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in where:
+            raise ValueError(f"invalid-config: {key} is set twice in {path}: "
+                             f"{where[key]} and line {lineno} {line}")
+        where[key] = f"line {lineno} {line}"
+        pairs.append((key, value))
     return pairs
 
 
@@ -399,9 +393,7 @@ def cmd_sweep(ns) -> int:
         "data": values["data"],
         "width": (10, 1),
         "k": 4,
-        "seed": values["seed"],
-        "test_fraction": values["test_fraction"],
-    }
+    } | {k.name: values[k.name] for k in _SPLIT}
     cells = [
         base | others | {key: v, "out": str(out / f"{key}_{_fmt(v)}")}
         for key, swept, others in _SWEEPS

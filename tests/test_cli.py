@@ -171,6 +171,44 @@ class TestManifestReproducibility:
         assert rc == 2
         assert "invalid-config" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, first, second",
+        [
+            ("train", "grid=3", "grid=5"),
+            ("eval", "threshold=0.5", "threshold=0.4"),
+            ("explain", "points=10", "points=20"),
+            ("sweep", "seed=1", "seed=2"),
+            ("export-dot", "on=test", "on=train"),
+            ("curves", "points=10", "points=20"),
+        ],
+    )
+    def test_config_key_set_twice_is_one_coded_line(
+        self, command, first, second, trained_run, data_csv, tmp_path, capsys
+    ):
+        name = first.split("=")[0]
+        assert name in {k.name for k in _KEYS[command]}
+        cfg = tmp_path / "twice.cfg"
+        cfg.write_text(f"{first}\n# a comment\n{second}\n")
+        out = tmp_path / "out"
+        inputs = {"model": trained_run / "model.json", "data": data_csv, "out": out}
+        argv = [command, "--config", str(cfg)]
+        for key in _KEYS[command]:
+            if key.name in inputs:
+                argv += ["--" + key.name, str(inputs[key.name])]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: invalid-config: {name} is set twice in {cfg}: "
+            f"line 1 {first} and line 3 {second}\n"
+        )
+        assert not out.exists()
+
+    def test_flag_given_twice_takes_the_last_value(self, trained_run, tmp_path):
+        out = tmp_path / "cur"
+        rc = main(["curves", "--model", str(trained_run / "model.json"), "--out", str(out),
+                   "--points", "3", "--points", "4"])
+        assert rc == 0
+        assert "points=4" in (out / "manifest.txt").read_text().splitlines()
+
 
 class TestEval:
     def test_writes_metrics_and_roc(self, trained_run, data_csv, tmp_path, capsys):
@@ -795,6 +833,23 @@ class TestEveryTypedSetting:
             assert main(argv) == 0
         manifest = (out / "manifest.txt").read_text().splitlines()
         assert {"width=10,1", "grid=5", "k=3", "on=test", "threshold=0.5"} <= set(manifest)
+
+
+class TestSharedSettings:
+    def test_every_setting_has_a_one_line_help(self):
+        for command, keys in _KEYS.items():
+            for key in keys:
+                assert key.help and key.help.strip(), f"{command} --{key.name} has no help"
+                assert "\n" not in key.help
+
+    @pytest.mark.parametrize("command", ["train", "eval", "explain", "sweep", "export-dot"])
+    def test_split_settings_are_the_one_shared_definition(self, command):
+        # identity, not equality: a command with its own copy of a split key
+        # could drift from train's default or converter
+        assert [k.name for k in kcli._SPLIT] == ["seed", "test_fraction"]
+        keys = {k.name: k for k in _KEYS[command]}
+        for shared in kcli._SPLIT:
+            assert keys[shared.name] is shared
 
 
 class TestUsageErrors:
