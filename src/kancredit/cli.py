@@ -324,8 +324,7 @@ def cmd_eval(ns) -> int:
     metrics, probs = _metric_report(net, dataset, values["on"], values["threshold"])
     out = _out_dir(values)
     _write_kv(out / "metrics.txt", metrics)
-    roc = [(pt.fpr, pt.tpr, pt.threshold) for pt in roc_curve(probs, dataset.labels)]
-    _write_csv(out / "roc.csv", ("fpr", "tpr", "threshold"), roc)
+    _write_csv(out / "roc.csv", ("fpr", "tpr", "threshold"), roc_curve(probs, dataset.labels))
     _write_kv(out / "manifest.txt", values, "eval")
     print(f"eval: split={values['on']} n={metrics['n_samples']}")
     print(f"eval: roc_auc={_fmt(metrics['roc_auc'])}")

@@ -22,7 +22,11 @@ training rows only.
 
 Writing: ``_fmt`` is the package's one spelling of a value in an artifact or
 summary line, a float (numpy scalars too) as Python's round-trip repr, never
-``np.float64(...)``; ``_write_csv`` streams a CSV row by row through it.
+``np.float64(...)``.  ``_write_csv`` streams a CSV in blocks of
+``_CSV_BLOCK`` rows, so it holds one block's strings, never the whole file.
+A block of equal-length rows is spelled a column at a time: a column of
+plain ints and floats, whose ``_fmt`` is their repr, by one ``repr`` of the
+column as a list, split at its separators; every other cell by ``_fmt``.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ import math
 import re
 import warnings
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -72,6 +77,10 @@ FEATURE_NAMES = tuple(name for name, *_ in _COLUMNS[1:])
 
 _MISSING_TOKENS = {"", "na", "nan", "null"}
 _NONE_TOKEN = "none"  # an unset setting in a manifest or config file
+_CSV_BLOCK = 1024  # rows that _csv_lines spells at a time
+# cell types whose _fmt spelling is their repr (exact types: a bool is spelled
+# true/false and a numpy scalar's repr names its type)
+_PLAIN_CELLS = frozenset((int, float))
 
 @dataclass(frozen=True)
 class RawTable:
@@ -157,11 +166,28 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _spelled(column) -> list:
+    """``_fmt`` of each cell; a column of plain ints and floats is spelled by one list repr."""
+    if _PLAIN_CELLS.issuperset(map(type, column)):
+        return repr(list(column))[1:-1].split(", ")
+    return list(map(_fmt, column))
+
+
 def _csv_lines(header, rows):
-    """The lines of a CSV artifact, every cell through ``_fmt``."""
+    """The text of a CSV artifact: the header line, then each block of rows as whole lines.
+
+    A block whose rows all have one nonzero length is spelled a column at a
+    time (``_spelled``); any other block row by row.  Either way each cell
+    reads as ``_fmt`` spells it.
+    """
     yield ",".join(header) + "\n"
-    for row in rows:
-        yield ",".join(map(_fmt, row)) + "\n"
+    rows = iter(rows)
+    while block := list(islice(rows, _CSV_BLOCK)):
+        if len(set(map(len, block))) == 1 and block[0]:
+            lines = map(",".join, zip(*map(_spelled, zip(*block))))
+        else:
+            lines = (",".join(map(_fmt, row)) for row in block)
+        yield "\n".join(lines) + "\n"
 
 
 def _write_csv(path, header, rows) -> None:
@@ -372,7 +398,7 @@ def dataset_from_arrays(features, labels) -> Dataset:
 
 
 def write_dataset_csv(dataset: Dataset, path) -> None:
-    """Audit dump: label plus normalized feature columns, written row by row."""
+    """Audit dump: label plus normalized feature columns, one block of rows in memory at a time."""
     rows = ((y, *x.tolist()) for y, x in zip(dataset.labels.tolist(), dataset.features))
     _write_csv(path, ("label", *dataset.feature_names), rows)
 

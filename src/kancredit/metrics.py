@@ -8,7 +8,10 @@ points.  A block with ``fp_b`` negatives and ``tp_b`` positives adds
 positive outscores the negative, plus half of the ``fp_b * tp_b`` tied
 pairs.  Summed over the blocks that is exactly the pairwise win count with
 ties at 1/2.  Twice the area is an integer, so it is summed exactly in int64
-and rounded once, by the division by ``2 * n_pos * n_neg``.  The dataset is
+and rounded once, by the division by ``2 * n_pos * n_neg``.  A ``RocPoint``
+is a named tuple of plain floats, so the curve is written as CSV rows as it
+is; its rates are numpy's quotients ``fp / n_neg`` and ``tp / n_pos`` of
+exact integers, correctly rounded as Python's int division is.  The dataset is
 heavily imbalanced, so confusion counts are parametrised by the positive
 class; the headline F1 convention lives in the CLI, not here.
 """
@@ -16,6 +19,7 @@ class; the headline F1 convention lives in the CLI, not here.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,8 +46,7 @@ class ConfusionCounts:
         return self.tp + self.fp + self.tn + self.fn
 
 
-@dataclass(frozen=True)
-class RocPoint:
+class RocPoint(NamedTuple):
     fpr: float
     tpr: float
     threshold: float
@@ -134,10 +137,7 @@ def roc_curve(scores, labels) -> list:
     """RocPoint list: (0,0) first, one point per distinct score, descending."""
     tp, fp, first, n_pos, n_neg = _roc_blocks(scores, labels)
     points = [RocPoint(0.0, 0.0, float("inf"))]
-    points += [
-        RocPoint(f / n_neg, t / n_pos, v)
-        for f, t, v in zip(fp.tolist(), tp.tolist(), first.tolist())
-    ]
+    points += map(RocPoint._make, zip((fp / n_neg).tolist(), (tp / n_pos).tolist(), first.tolist()))
     return points
 
 

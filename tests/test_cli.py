@@ -669,6 +669,15 @@ class TestExportCommands:
         assert rc == 0
         assert capsys.readouterr().out.startswith("layer,q,p,x,phi")
 
+    def test_curves_stdout_equals_out_file(self, trained_run, tmp_path, capsys):
+        model = str(trained_run / "model.json")
+        assert main(["curves", "--model", model, "--points", "7"]) == 0
+        stdout = capsys.readouterr().out
+        out = tmp_path / "cur"
+        assert main(["curves", "--model", model, "--points", "7", "--out", str(out)]) == 0
+        assert (out / "curves.csv").read_text(encoding="utf-8") == stdout
+        assert len(stdout.splitlines()) == 1 + 10 * 7
+
     def test_missing_model_exits_2(self, tmp_path, capsys):
         rc = main(["curves", "--model", str(tmp_path / "none.json")])
         assert rc == 2

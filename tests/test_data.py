@@ -1,4 +1,4 @@
-"""CSV loading, preprocessing, and stratified-split behavior."""
+"""CSV loading, preprocessing, stratified splits and the CSV writer."""
 
 import csv
 import os
@@ -6,6 +6,7 @@ import re
 import threading
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,8 +26,11 @@ from kancredit.data import (
     write_scaler_text,
     _parse_cell,
 )
+from kancredit.metrics import roc_curve
 
 from conftest import GMSC_COLUMNS, make_gmsc_rows, write_gmsc_csv
+
+DATA_DIR = Path(__file__).parent / "data"
 
 
 def sorted_percentile(values, q):
@@ -720,3 +724,107 @@ class TestAuditOutputs:
         text = out.read_text()
         assert "age.lo=" in text and "age.hi=" in text
         assert len(text.strip().split("\n")) == 30
+
+
+def _spelled_row_by_row(header, rows):
+    """The reference spelling: each row's cells through ``_fmt``, joined with commas."""
+    return ",".join(header) + "\n" + "".join(",".join(map(data._fmt, row)) + "\n" for row in rows)
+
+
+def _pinned_roc_points():
+    """The ROC of 10 positives and 14 negatives over hand-picked scores.
+
+    Ties across the classes, a block of signed zeros, an infinite score and
+    thresholds such as 1/3 and 5e-324; every rate is a quotient by 10 or 14.
+    """
+    scores = [1 / 3, 0.1, 0.1, 0.75, float("inf"), 0.5, 0.5, 0.5, 2 / 7, -0.0, 0.0, 0.0,
+              5e-324, 1e-300, 0.9, 0.9, 1 / 3, 0.2, 0.3, 0.6, 0.05, 0.45, 0.65, 1e16]
+    labels = [1, 0, 1, 0, 1, 1, 0, 0, 0, 1, 0, 0, 0, 1, 1, 0, 0, 0, 1, 0, 0, 1, 1, 0]
+    return roc_curve(np.array(scores), np.array(labels))
+
+
+def _pinned_curve_rows():
+    """(layer, q, p, x, phi) rows of cubic edges, in plain float arithmetic (no libm)."""
+    rows = []
+    for layer, lo, hi, n_out, n_in in ((0, -1.0, 1.0, 2, 3), (1, -2.5, 0.75, 1, 2)):
+        for q in range(n_out):
+            for p in range(n_in):
+                for i in range(25):
+                    x = lo + (hi - lo) * i / 24
+                    rows.append((layer, q, p, x, (x * x * x - (q + 1) * x) / (p + 3)))
+    return rows
+
+
+class TestCsvLines:
+    """``_csv_lines`` spells every file as the row-by-row ``_fmt`` join did."""
+
+    CASES = {
+        "signed-zeros": [(0.0, 1), (-0.0, 2), (0.0, 3)],
+        "non-finite": [(float("nan"), float("inf")), (float("-inf"), float("nan"))],
+        "float-digits": [(5e-324,), (1e16,), (0.1,), (1 / 3,), (1e22,), (-1.5e-7,)],
+        "big-and-negative-ints": [(2**70, -1), (-(2**70), 0), (-7, 3)],
+        "bools": [(True, 1.0), (False, 2.0)],
+        "bools-and-ints": [(True, 0.5), (0, 0.25), (False, 0.125), (1, 0.0)],
+        "none": [(None, 1.0), (2.0, None)],
+        "tuples": [((10, 4, 1), 0.5), ((3,), 1.5)],
+        "numpy-scalars": [(np.float64(0.1), np.int64(3)), (np.float64(-0.0), np.int64(-(2**62)))],
+        "mixed-int-float": [(1, 1.0), (2.5, 2), (-3, -0.0)],
+        "strings": [("x0", 0.5, 3), ("x1", -0.25, 0)],
+        "ragged": [(1, 2.0), (3,), (4.0, 5, 6)],
+        "no-columns": [(), ()],
+        "no-rows": [],
+        "list-rows": [[1, 0.5], [2, 0.25]],
+    }
+
+    @pytest.mark.parametrize("rows", CASES.values(), ids=CASES.keys())
+    def test_spelled_as_cell_by_cell(self, rows):
+        header = ("a", "b", "c")
+        assert "".join(data._csv_lines(header, rows)) == _spelled_row_by_row(header, rows)
+
+    def test_bools_and_none_stay_words(self):
+        text = "".join(data._csv_lines(("flag", "n", "x"), [(True, 1, None), (0, False, 2.5)]))
+        assert text == "flag,n,x\ntrue,1,none\n0,false,2.5\n"
+
+    def test_generator_across_blocks(self):
+        n = 2 * data._CSV_BLOCK + 1
+
+        def rows():
+            for i in range(n):
+                # the last block is one row; a None in the middle block sends its column to _fmt
+                yield (i, i / 7, None if i == data._CSV_BLOCK + 5 else -i * 0.1)
+
+        text = "".join(data._csv_lines(("i", "x", "y"), rows()))
+        assert text == _spelled_row_by_row(("i", "x", "y"), rows())
+        assert text.count("\n") == n + 1
+
+    def test_ragged_block_between_even_ones(self):
+        rows = [(i, 0.5 * i) for i in range(data._CSV_BLOCK)]
+        rows += [(1.5,)] + [(i, i, i) for i in range(data._CSV_BLOCK)]
+        assert "".join(data._csv_lines(("a",), rows)) == _spelled_row_by_row(("a",), rows)
+
+    def test_roc_bytes_are_pinned(self, tmp_path):
+        path = tmp_path / "roc.csv"
+        data._write_csv(path, ("fpr", "tpr", "threshold"), _pinned_roc_points())
+        assert path.read_bytes() == (DATA_DIR / "roc_small.csv").read_bytes()
+
+    def test_curves_bytes_are_pinned(self, tmp_path):
+        path = tmp_path / "curves.csv"
+        data._write_csv(path, ("layer", "q", "p", "x", "phi"), _pinned_curve_rows())
+        assert path.read_bytes() == (DATA_DIR / "curves_small.csv").read_bytes()
+
+    def test_dump_holds_one_block_at_a_time(self, tmp_path):
+        # a dump built whole in memory would peak near sixteen blocks' strings;
+        # streamed, it peaked at 1.3 times one block's
+        def peak(n_rows):
+            rng = np.random.default_rng(3)
+            ds = dataset_from_arrays(rng.uniform(-1, 1, (n_rows, 10)), np.arange(n_rows) % 2)
+            tracemalloc.start()
+            try:
+                write_dataset_csv(ds, tmp_path / "dump.csv")
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one = peak(data._CSV_BLOCK)
+        many = peak(16 * data._CSV_BLOCK)
+        assert many < 2 * one, (one, many)

@@ -219,6 +219,22 @@ class TestRocCurve:
             assert np.signbit(pts[-1].threshold) == np.signbit(scores[0])
 
 
+class TestRocPoint:
+    def test_named_read_only_fields(self):
+        pt = roc_curve(np.array([0.9, 0.1]), np.array([1, 0]))[0]
+        assert (pt.fpr, pt.tpr, pt.threshold) == (0.0, 0.0, float("inf"))
+        assert pt == RocPoint(0.0, 0.0, float("inf"))
+        with pytest.raises(AttributeError):
+            pt.fpr = 0.5
+
+    def test_a_point_is_a_plain_tuple(self):
+        pts = roc_curve(np.array([0.9, 0.1]), np.array([1, 0]))
+        assert pts == [(0.0, 0.0, float("inf")), (0.0, 1.0, 0.9), (1.0, 1.0, 0.1)]
+        fpr, tpr, threshold = pts[1]
+        assert (fpr, tpr, threshold) == (0.0, 1.0, 0.9)
+        assert all(type(v) is float for pt in pts for v in pt)
+
+
 class TestClassificationReport:
     def test_contains_both_conventions(self):
         rng = np.random.default_rng(8)
