@@ -16,9 +16,9 @@ Preprocessing policy: impute missing MonthlyIncome with the training
 median and missing NumberOfDependents with 0, winsorize every column at
 the 1st/99th percentiles (the file contains utilization ratios above 50000
 that would otherwise flatten the spline grid), then scale each column
-affinely onto [-1, 1] to match the network's grid domain.  A Dataset keeps
-its raw column matrix so that a later split can refit the scaler on the
-training rows only.
+affinely onto [-1, 1] to match the network's grid domain.  A preprocessed
+Dataset keeps its raw column matrix so that ``split`` can refit the scaler
+on the training rows only; the parts ``split`` returns keep none.
 
 Writing: ``_fmt`` is the package's one spelling of a value in an artifact or
 summary line, a float (numpy scalars too) as Python's round-trip repr, never
@@ -319,7 +319,7 @@ def load_gmsc_csv(path) -> RawTable:
 
 
 def preprocess(table: RawTable) -> Dataset:
-    """RawTable -> normalized Dataset; keeps the raw matrix for later refits."""
+    """RawTable -> normalized Dataset; keeps the raw matrix, for ``split`` to refit on."""
     if not len(table):
         raise ValueError("empty-input: no records to preprocess")
     scaler = Scaler.fit(table.raw)
@@ -333,11 +333,14 @@ def preprocess(table: RawTable) -> Dataset:
 
 
 def split(dataset: Dataset, test_fraction: float, seed: int):
-    """Stratified train/test split; the scaler is refit on training rows only.
+    """Stratified train/test split into two parts without a raw matrix.
 
-    A fraction that leaves either part without a row of each class raises
-    ``empty-split``.  Datasets without a raw matrix (built directly from
-    arrays) are split by indexing the features as-is.
+    A dataset with a raw matrix (from ``preprocess``) gets a scaler refit on
+    its training rows only, and each part is that scaler's transform of its
+    raw rows.  One without (from ``dataset_from_arrays``, or a part of an
+    earlier split) is split by indexing its features, and both parts keep
+    its scaler.  A fraction that leaves either part without a row of each
+    class raises ``empty-split``.
     """
     if not 0.0 < test_fraction < 1.0:
         raise ValueError(f"invalid-fraction: need 0 < fraction < 1, got {test_fraction}")
@@ -364,29 +367,21 @@ def split(dataset: Dataset, test_fraction: float, seed: int):
     mask[test_idx] = True
     train_idx = np.flatnonzero(~mask)
 
-    if dataset.raw is not None:
-        raw_train = dataset.raw[train_idx]
-        scaler = Scaler.fit(raw_train)
-        make = lambda idx, raw: Dataset(
-            features=scaler.transform(raw),
-            labels=labels[idx],
-            feature_names=dataset.feature_names,
-            scaler=scaler,
-            raw=raw,
-        )
-        # the test rows are gathered after the training part is built, off its peak
-        return make(train_idx, raw_train), make(test_idx, dataset.raw[test_idx])
-    make = lambda idx: Dataset(
-        features=dataset.features[idx],
-        labels=labels[idx],
-        feature_names=dataset.feature_names,
-        scaler=dataset.scaler,
-    )
+    if dataset.raw is None:
+        scaler, features = dataset.scaler, dataset.features.__getitem__
+    else:
+        scaler = Scaler.fit(dataset.raw[train_idx])
+        features = lambda idx: scaler.transform(dataset.raw[idx])
+    # the test part is built after the training part, off its peak
+    make = lambda idx: Dataset(features(idx), labels[idx], dataset.feature_names, scaler)
     return make(train_idx), make(test_idx)
 
 
 def dataset_from_arrays(features, labels) -> Dataset:
-    """Wrap plain arrays as a Dataset with columns x0, x1, ... (no scaler, no raw matrix)."""
+    """Wrap plain arrays as a Dataset with columns x0, x1, ... (no scaler, no raw matrix).
+
+    Without a raw matrix, ``split`` cuts it by indexing the features.
+    """
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     if features.ndim != 2 or labels.shape != (features.shape[0],):

@@ -297,10 +297,9 @@ def _walk(net: KanNetwork, X: np.ndarray, positions=None):
     keeps of each layer only what it needs.  ``positions`` are X's band
     positions, for layer 0 only.
     """
-    extra = () if positions is None else (positions,)
     for layer in net.layers:
-        X, phi, cache = _layer_batch(layer, X, *extra)
-        extra = ()
+        X, phi, cache = _layer_batch(layer, X, positions)
+        positions = None
         yield X, phi, cache
 
 

@@ -18,11 +18,11 @@ about half the time.
 
 On the uniform grid each basis is, on each span, a fixed polynomial in the
 offset u = (x - t_span) / h, the same for every span (the uniform B-spline
-basis matrix).  ``_integer_band`` builds these polynomials once per degree
-by running the triangular recursion (de Boor's local algorithm) on integer
-polynomials: scaling its step j by j makes every coefficient an integer
-over ``degree!``.  Each coefficient is divided by ``degree!`` once, and each
-band row is evaluated in place by Horner's rule.  Derivatives come from the
+basis matrix).  ``_integer_band`` writes these polynomials down once per
+degree in closed form, from Schoenberg's truncated-power sum for the
+cardinal B-spline, in which ``degree!`` times every coefficient is an
+integer.  Each coefficient is divided by ``degree!`` once, and each band
+row is evaluated in place by Horner's rule.  Derivatives come from the
 same integers times their powers, so no lower-degree band is built.
 
 Plain Horner in u is accurate in absolute terms but not relative ones: the
@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from math import factorial
+from math import comb, factorial
 
 import numpy as np
 
@@ -142,28 +142,16 @@ def _span_offset(kv: KnotVector, x) -> tuple[np.ndarray, np.ndarray, bool]:
 def _integer_band(degree: int) -> tuple[tuple[int, ...], ...]:
     """``degree!`` times the band's bases as polynomials in the offset ``u``.
 
-    Row ``j`` holds the integer coefficients of ``degree! * B_span+j(u)`` by
-    ascending power.  They come from the triangular recursion run on
-    polynomials, with step ``j`` scaled by ``j``, so that its division by the
-    step leaves integers: row ``r`` of step ``j`` is
-    ``(r + 1 - u) * row r + (u + j - r) * row r-1`` of step ``j - 1``.
+    Row ``j`` holds the integer coefficients of ``k! * B_span+j(u)`` by
+    ascending power, ``k = degree``.  Schoenberg's truncated-power form of
+    the cardinal B-spline gives that row as
+    ``sum_i (-1)^i C(k+1, i) (u + k - j - i)^k`` over ``i = 0 .. k - j``
+    (the truncated powers that are not zero on the span), so its ``u^p``
+    coefficient is ``C(k, p) sum_i (-1)^i C(k+1, i) (k - j - i)^(k - p)``.
     """
-    rows = [[1]]
-    for j in range(1, degree + 1):
-        step = []
-        for r in range(j + 1):
-            poly = [0] * (j + 1)
-            if r < j:
-                for p, c in enumerate(rows[r]):
-                    poly[p] += (r + 1) * c
-                    poly[p + 1] -= c
-            if r > 0:
-                for p, c in enumerate(rows[r - 1]):
-                    poly[p] += (j - r) * c
-                    poly[p + 1] += c
-            step.append(poly)
-        rows = step
-    return tuple(tuple(row) for row in rows)
+    k = degree
+    power_sum = lambda j, e: sum((-1) ** i * comb(k + 1, i) * (k - j - i) ** e for i in range(k - j + 1))
+    return tuple(tuple(comb(k, p) * power_sum(j, k - p) for p in range(k + 1)) for j in range(k + 1))
 
 
 @cache

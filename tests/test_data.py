@@ -657,15 +657,50 @@ class TestSplit:
     def test_scaler_fitted_on_train_only(self):
         ds = self.make_dataset(200, positives=40)
         train, test = split(ds, 0.2, seed=3)
-        # refit by hand on the training rows and transform a held-out row
-        manual = Scaler.fit(train.raw)
-        np.testing.assert_array_equal(manual.lo, test.scaler.lo)
-        np.testing.assert_array_equal(manual.hi, test.scaler.hi)
-        np.testing.assert_allclose(
-            test.features[0], manual.transform(test.raw[:1])[0], atol=1e-15
-        )
-        # train and test share one scaler object state
-        np.testing.assert_array_equal(train.scaler.lo, test.scaler.lo)
+        assert train.scaler is test.scaler
+        # the training rows of ds.raw are those whose scaled values are a training row
+        scaled = test.scaler.transform(ds.raw)
+        train_rows = set(map(tuple, train.features))
+        in_train = np.array([tuple(row) in train_rows for row in scaled])
+        assert in_train.sum() == len(train)
+        manual = Scaler.fit(ds.raw[in_train])
+        for part in ("impute", "lo", "hi"):
+            np.testing.assert_array_equal(getattr(manual, part), getattr(test.scaler, part))
+        np.testing.assert_array_equal(train.features, scaled[in_train])
+        np.testing.assert_array_equal(test.features, scaled[~in_train])
+        assert not np.array_equal(manual.hi, ds.scaler.hi)  # a refit, not the whole table's scaler
+
+    def test_parts_keep_no_raw_matrix(self):
+        rng = np.random.default_rng(14)
+        arrays = dataset_from_arrays(rng.uniform(-1, 1, (40, 3)), rng.integers(0, 2, 40))
+        for ds in (self.make_dataset(100, positives=20), arrays):
+            assert all(part.raw is None for part in split(ds, 0.2, seed=0))
+
+    def test_parts_hold_only_features_and_labels(self, tmp_path):
+        small = tmp_path / "small.csv"
+        write_gmsc_csv(small, make_gmsc_rows(1000, seed=16))
+        header, *body = small.read_text().splitlines(keepends=True)
+        path = tmp_path / "big.csv"
+        path.write_text(header + "".join(body) * 20)
+        split(preprocess(load_gmsc_csv(small)), 0.2, seed=0)  # imports and caches outside the count
+        tracemalloc.start()
+        try:
+            parts = split(preprocess(load_gmsc_csv(path)), 0.2, seed=0)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        # 20k rows: 1.6 MB of features and 0.16 MB of labels; a raw copy is another 1.6 MB
+        arrays = sum(part.features.nbytes + part.labels.nbytes for part in parts)
+        assert arrays == 20_000 * 8 * (len(FEATURE_NAMES) + 1)
+        assert held < 1.1 * arrays, (held, arrays)
+
+    def test_resplit_part_is_indexed_and_keeps_its_scaler(self):
+        train, _ = split(self.make_dataset(200, positives=40), 0.2, seed=3)
+        parts = split(train, 0.25, seed=1)
+        assert all(part.scaler is train.scaler for part in parts)
+        assert sum(map(len, parts)) == len(train)
+        rows = lambda ds: sorted(zip(ds.labels.tolist(), map(tuple, ds.features.tolist())))
+        assert sorted(rows(parts[0]) + rows(parts[1])) == rows(train)
 
     def test_train_features_stay_in_range(self):
         ds = self.make_dataset(150, positives=30)

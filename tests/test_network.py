@@ -432,9 +432,9 @@ class TestBatchEvaluation:
         net, x, y = _chunked_problem(12, rows=23)
         rows = []
 
-        def recording(layer, cur):
+        def recording(layer, cur, positions=None):
             rows.append(cur.shape[0])
-            return _layer_batch(layer, cur)
+            return _layer_batch(layer, cur, positions)
 
         monkeypatch.setattr(knet, "CHUNK", 7)
         monkeypatch.setattr(knet, "_layer_batch", recording)

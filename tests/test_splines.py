@@ -213,13 +213,17 @@ class TestBasisDerivatives:
 class TestIntegerTable:
     """The integer polynomials behind the band, and their evaluation near the span ends."""
 
-    @pytest.mark.parametrize("degree", range(6))
+    def test_pinned_cubic_table(self):
+        # 6 * B(u): (1 - u)^3, 4 - 6u^2 + 3u^3, 1 + 3u + 3u^2 - 3u^3, u^3
+        assert _integer_band(3) == ((1, -3, 3, -1), (4, 0, -6, 3), (1, 3, 3, -3), (0, 0, 0, 1))
+
+    @pytest.mark.parametrize("degree", range(9))
     def test_rows_sum_to_the_exact_partition_of_unity(self, degree):
         table = _integer_band(degree)
         assert len(table) == degree + 1 and all(len(row) == degree + 1 for row in table)
         assert [sum(col) for col in zip(*table)] == [factorial(degree)] + [0] * degree
 
-    @pytest.mark.parametrize("degree", range(6))
+    @pytest.mark.parametrize("degree", range(9))
     def test_row_j_in_u_is_row_k_minus_j_in_one_minus_u(self, degree):
         table = _integer_band(degree)
         for j, row in enumerate(table):
@@ -229,7 +233,7 @@ class TestIntegerTable:
                     mirrored[i] += c * comb(p, i) * (-1) ** i
             assert mirrored == list(row), j
 
-    @pytest.mark.parametrize("degree", range(6))
+    @pytest.mark.parametrize("degree", range(9))
     def test_relative_accuracy_near_both_span_ends(self, degree):
         # unit spacing on integer knots: u = x - span exactly, and the Cox-de Boor
         # recursion on Fractions gives each basis and derivative exactly

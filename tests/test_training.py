@@ -223,9 +223,9 @@ class TestChunkHelper:
         net, x, y = _chunked_problem(7, rows=7)
         threads = set()
 
-        def recording(layer, cur):
+        def recording(layer, cur, positions=None):
             threads.add(threading.current_thread())
-            return _layer_batch(layer, cur)
+            return _layer_batch(layer, cur, positions)
 
         monkeypatch.setattr(knet, "_layer_batch", recording)
         backward(net, x, y)
