@@ -20,6 +20,13 @@ affinely onto [-1, 1] to match the network's grid domain.  A preprocessed
 Dataset keeps its raw column matrix so that ``split`` can refit the scaler
 on the training rows only; the parts ``split`` returns keep none.
 
+The scaler is fitted one column at a time: a contiguous copy of the column,
+filled and sorted in place, gives the winsorizing bounds as numpy's linear
+(Hyndman & Fan type 7) interpolation of its two neighbouring order
+statistics, the numbers ``np.quantile`` returns on the whole matrix.
+``split`` gathers each part's raw rows once; the training rows are fitted
+on, and each part's rows are filled and scaled in place.
+
 Writing: ``_fmt`` is the package's one spelling of a value in an artifact or
 summary line, a float (numpy scalars too) as Python's round-trip repr, never
 ``np.float64(...)``.  ``_write_csv`` streams a CSV in blocks of
@@ -108,7 +115,14 @@ class PreprocessPolicy:
 
 @dataclass(frozen=True)
 class Scaler:
-    """Per-column imputation value plus winsorized [lo, hi] scaling bounds."""
+    """Per-column imputation value plus winsorized [lo, hi] scaling bounds.
+
+    ``lo`` and ``hi`` are ``np.quantile(filled, q, axis=0)`` bit for bit,
+    ``filled`` being the raw matrix with each NaN imputed, but for the sign
+    of a zero bound: a sorted column and numpy's partition may order
+    ``0.0`` and ``-0.0`` differently.  The scaled features do not see that
+    sign, since ``-1 + 2 * (x - lo) / span`` loses it.
+    """
 
     impute: np.ndarray
     lo: np.ndarray
@@ -116,20 +130,36 @@ class Scaler:
 
     @classmethod
     def fit(cls, raw: np.ndarray, policy: PreprocessPolicy = PreprocessPolicy()) -> "Scaler":
-        n_cols = raw.shape[1]
+        """Impute values and bounds from one filled and sorted column at a time."""
+        n_rows, n_cols = raw.shape
         impute = np.zeros(n_cols)
         income_col = FEATURE_NAMES.index("MonthlyIncome")
         observed = raw[:, income_col]
         observed = observed[~np.isnan(observed)]
         impute[income_col] = float(np.median(observed)) if observed.size else 0.0
-        filled = np.where(np.isnan(raw), impute[None, :], raw)
-        qs = [policy.lower_quantile, policy.upper_quantile]
-        lo, hi = np.quantile(filled, qs, axis=0, overwrite_input=True)  # filled is our own copy
+        # numpy's linear quantile is order statistics i and i + 1 interpolated at
+        # gamma = v - i, where v = (n - 1) * q and i = floor(v); it gives the
+        # same number from those two alone, where v = gamma and i = 0
+        cuts = []
+        for q in (policy.lower_quantile, policy.upper_quantile):
+            v = (n_rows - 1) * q
+            i = math.floor(v)
+            cuts.append((i, v - i))
+        lo, hi = np.empty(n_cols), np.empty(n_cols)
+        for j in range(n_cols):
+            col = raw[:, j].copy()
+            col[np.isnan(col)] = impute[j]
+            col.sort()
+            lo[j], hi[j] = (np.quantile(col[i : i + 2], gamma) for i, gamma in cuts)
         return cls(impute=impute, lo=lo, hi=hi)
 
     def transform(self, raw: np.ndarray) -> np.ndarray:
-        """-1 + 2 * (clip(filled) - lo) / span, computed in place; 0 where span <= 0."""
-        out = np.where(np.isnan(raw), self.impute, raw)
+        """-1 + 2 * (clip(filled) - lo) / span, in a new array; 0 where span <= 0."""
+        return self._scale(np.array(raw, dtype=np.float64))
+
+    def _scale(self, out: np.ndarray) -> np.ndarray:
+        """``transform`` of the raw rows in ``out``, written over them."""
+        np.copyto(out, self.impute, where=np.isnan(out))
         np.clip(out, self.lo, self.hi, out=out)
         out -= self.lo
         out *= 2.0
@@ -337,9 +367,9 @@ def split(dataset: Dataset, test_fraction: float, seed: int):
 
     A dataset with a raw matrix (from ``preprocess``) gets a scaler refit on
     its training rows only, and each part is that scaler's transform of its
-    raw rows.  One without (from ``dataset_from_arrays``, or a part of an
-    earlier split) is split by indexing its features, and both parts keep
-    its scaler.  A fraction that leaves either part without a row of each
+    raw rows, gathered once and scaled in place.  One without (from
+    ``dataset_from_arrays``, or a part of an earlier split) is split by
+    indexing its features, and both parts keep its scaler.  A fraction that leaves either part without a row of each
     class raises ``empty-split``.
     """
     if not 0.0 < test_fraction < 1.0:
@@ -367,14 +397,17 @@ def split(dataset: Dataset, test_fraction: float, seed: int):
     mask[test_idx] = True
     train_idx = np.flatnonzero(~mask)
 
+    rows = dataset.features if dataset.raw is None else dataset.raw
+    train_rows = rows[train_idx]  # each part's rows are gathered once
     if dataset.raw is None:
-        scaler, features = dataset.scaler, dataset.features.__getitem__
+        scaler, features = dataset.scaler, lambda part: part
     else:
-        scaler = Scaler.fit(dataset.raw[train_idx])
-        features = lambda idx: scaler.transform(dataset.raw[idx])
-    # the test part is built after the training part, off its peak
-    make = lambda idx: Dataset(features(idx), labels[idx], dataset.feature_names, scaler)
-    return make(train_idx), make(test_idx)
+        scaler = Scaler.fit(train_rows)
+        features = scaler._scale  # in place: a gathered part is its own copy
+    make = lambda part, idx: Dataset(features(part), labels[idx], dataset.feature_names, scaler)
+    train = make(train_rows, train_idx)
+    # the test part is gathered once the training part is built, off its peak
+    return train, make(rows[test_idx], test_idx)
 
 
 def dataset_from_arrays(features, labels) -> Dataset:

@@ -1,7 +1,8 @@
 """Binary classification metrics: confusion counts, F1, ROC curve, ROC_AUC.
 
 The ROC curve and ROC_AUC share one ranking: the scores sorted descending
-once and cut into blocks of equal scores, with the cumulative true and false
+once, by numpy's default sort (the order within a block does not matter),
+and cut into blocks of equal scores, with the cumulative true and false
 positive counts after each block.  ROC_AUC is the trapezoid area under those
 points.  A block with ``fp_b`` negatives and ``tp_b`` positives adds
 ``fp_b * (tp_prev + tp_prev + tp_b) / 2``: ``fp_b * tp_prev`` pairs whose
@@ -105,10 +106,12 @@ def _roc_blocks(scores, labels):
     """The ranking behind the ROC: scores sorted descending, in blocks of equal scores.
 
     Returns ``(tp, fp, first, n_pos, n_neg)``: the cumulative true and false
-    positive counts after each block, each block's first score in the
-    stable order (so a block of zeros keeps the sign its first member has)
-    and the class sizes.  Neighbours are compared with ``!=`` rather than
-    differenced, so equal infinities stay one block.
+    positive counts after each block, each block's first score in input
+    order, and the class sizes.  Neighbours are compared with ``!=`` rather
+    than differenced, so equal infinities stay one block.  A block's counts
+    do not depend on the order within it, so numpy's default (unstable)
+    sort ranks; only the block of zeros can hold unequal bits, ``0.0`` and
+    ``-0.0``, and it takes the sign of the first zero in input order.
     """
     s, y = _check_pair(scores, labels)
     if np.isnan(s).any():
@@ -117,11 +120,14 @@ def _roc_blocks(scores, labels):
     n_neg = y.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("single-class-input: ROC needs both classes")
-    order = np.argsort(-s, kind="stable")
+    order = np.argsort(-s)
     s_sorted = s[order]
     ends = np.append(np.flatnonzero(s_sorted[1:] != s_sorted[:-1]) + 1, s.size)
     tp = np.cumsum(y[order])[ends - 1]
     first = s_sorted[np.concatenate(([0], ends[:-1]))]
+    zero = s == 0
+    if zero.any():
+        first[first == 0] = s[zero.argmax()]
     return tp, ends - tp, first, n_pos, n_neg
 
 

@@ -571,6 +571,63 @@ class TestPreprocess:
             scaled = -1.0 + 2.0 * (np.clip(filled, sc.lo, sc.hi) - sc.lo) / span
         assert sc.transform(raw).tobytes() == np.where(span > 0, scaled, 0.0).tobytes()
 
+    @staticmethod
+    def adversarial_raw(case):
+        """A raw (n, 10) array whose columns stress the quantile fit."""
+        rng = np.random.default_rng(31)
+        income = FEATURE_NAMES.index("MonthlyIncome")
+        if case == "ties":
+            raw = rng.integers(0, 3, (200, 10)).astype(float)
+        elif case == "constant":
+            raw = np.full((50, 10), 7.0)
+        elif case in ("one row", "two rows"):
+            raw = rng.normal(size=(1 if case == "one row" else 2, 10))
+        elif case == "signed zeros":
+            raw = rng.choice([0.0, -0.0, 0.0, -0.0, 1.0], (300, 10))
+        else:
+            raw = rng.lognormal(size=(120, 10))
+        if case == "all-NaN income":
+            raw[:, income] = np.nan
+        if case == "NaN in a required column":
+            raw[[3, 40, 41], FEATURE_NAMES.index("DebtRatio")] = np.nan
+        if len(raw) > 2:
+            raw[::7, income] = np.nan
+        return raw
+
+    @pytest.mark.parametrize("policy", [PreprocessPolicy(), PreprocessPolicy(0.0, 1.0), PreprocessPolicy(0.3, 0.7)])
+    @pytest.mark.parametrize(
+        "case",
+        ["ties", "constant", "one row", "two rows", "all-NaN income", "NaN in a required column", "signed zeros"],
+    )
+    def test_bounds_equal_whole_matrix_quantile_bit_for_bit(self, case, policy):
+        raw = self.adversarial_raw(case)
+        sc = Scaler.fit(raw, policy)
+        filled = np.where(np.isnan(raw), sc.impute, raw)
+        lo, hi = np.quantile(filled, [policy.lower_quantile, policy.upper_quantile], axis=0)
+        pairs = [(sc.lo, lo), (sc.hi, hi)]
+        if case == "signed zeros":  # a sorted column may put the other zero at a cut: -0.0 + 0.0 is 0.0
+            pairs = [(got + 0.0, want + 0.0) for got, want in pairs]
+        assert all(got.tobytes() == want.tobytes() for got, want in pairs)
+        # the whole-matrix bounds scale every value to the same bits
+        span = hi - lo
+        with np.errstate(invalid="ignore", divide="ignore"):
+            scaled = -1.0 + 2.0 * (np.clip(filled, lo, hi) - lo) / span
+        assert sc.transform(raw).tobytes() == np.where(span > 0, scaled, 0.0).tobytes()
+
+    def test_signed_zero_bounds_scale_to_the_same_bits(self):
+        raw = self.adversarial_raw("signed zeros")
+        sc = Scaler.fit(raw)
+        flipped = Scaler(sc.impute, np.where(sc.lo == 0, -sc.lo, sc.lo), np.where(sc.hi == 0, -sc.hi, sc.hi))
+        assert (sc.lo == 0).any() and flipped.lo.tobytes() != sc.lo.tobytes()
+        assert flipped.transform(raw).tobytes() == sc.transform(raw).tobytes()
+
+    def test_transform_leaves_its_input_unchanged(self):
+        raw = self.adversarial_raw("NaN in a required column")
+        before = raw.tobytes()
+        sc = Scaler.fit(raw)
+        out = sc.transform(raw)
+        assert raw.tobytes() == before and not np.shares_memory(out, raw)
+
     def test_winsorize_bounds_match_sort_oracle(self, tmp_path):
         rows = make_gmsc_rows(1000, seed=9)
         path = tmp_path / "big.csv"
@@ -693,6 +750,40 @@ class TestSplit:
         arrays = sum(part.features.nbytes + part.labels.nbytes for part in parts)
         assert arrays == 20_000 * 8 * (len(FEATURE_NAMES) + 1)
         assert held < 1.1 * arrays, (held, arrays)
+
+    def test_parts_equal_a_refit_transform_byte_for_byte(self):
+        ds = self.make_dataset(300, positives=45)
+        raw = ds.raw.copy()
+        raw[::11, FEATURE_NAMES.index("MonthlyIncome")] = np.nan
+        ds = Dataset(ds.features, ds.labels, ds.feature_names, ds.scaler, raw)
+        # split draws its indices from the labels alone: a column of row numbers shows them
+        numbered = dataset_from_arrays(np.arange(len(ds))[:, None], ds.labels)
+        train, test = split(ds, 0.2, seed=7)
+        train_idx, test_idx = (part.features[:, 0].astype(int) for part in split(numbered, 0.2, seed=7))
+        scaler = Scaler.fit(raw[train_idx])
+        assert train.features.tobytes() == scaler.transform(raw[train_idx]).tobytes()
+        assert test.features.tobytes() == scaler.transform(raw[test_idx]).tobytes()
+        assert raw.tobytes() == ds.raw.tobytes() and np.isnan(raw).any()  # the parts are copies
+
+    def test_setup_peak_memory_is_bounded(self, tmp_path):
+        # 20k rows: the parsed table (1.9 MB) and the whole-table features
+        # (1.6 MB) are held while split gathers the training rows (1.3 MB)
+        # and scales them in place, peaking at 5.77 MB; fitting on a filled
+        # copy of the gathered rows and gathering them again to transform
+        # peaked at 6.80 MB
+        small = tmp_path / "small.csv"
+        write_gmsc_csv(small, make_gmsc_rows(1000, seed=17))
+        header, *body = small.read_text().splitlines(keepends=True)
+        path = tmp_path / "big.csv"
+        path.write_text(header + "".join(body) * 20)
+        split(preprocess(load_gmsc_csv(small)), 0.2, seed=0)  # imports and caches outside the count
+        tracemalloc.start()
+        try:
+            split(preprocess(load_gmsc_csv(path)), 0.2, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6.3e6, peak
 
     def test_resplit_part_is_indexed_and_keeps_its_scaler(self):
         train, _ = split(self.make_dataset(200, positives=40), 0.2, seed=3)

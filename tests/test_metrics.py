@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from kancredit.metrics import (
+    _roc_blocks,
     ConfusionCounts,
     RocPoint,
     confusion_at_threshold,
@@ -217,6 +218,28 @@ class TestRocCurve:
             pts = roc_curve(np.array(scores), labels)
             assert [p.threshold for p in pts] == [float("inf"), 1.0, 0.0]
             assert np.signbit(pts[-1].threshold) == np.signbit(scores[0])
+
+    def test_blocks_equal_a_stable_sort_bit_for_bit(self):
+        def stable_blocks(scores, labels):
+            order = np.argsort(-scores, kind="stable")
+            ranked = scores[order]
+            ends = np.append(np.flatnonzero(ranked[1:] != ranked[:-1]) + 1, scores.size)
+            tp = np.cumsum(labels[order])[ends - 1]
+            return tp, ends - tp, ranked[np.concatenate(([0], ends[:-1]))]
+
+        rng = np.random.default_rng(23)
+        values = np.array([0.0, -0.0, np.inf, -np.inf, 0.5, -1.0, 5e-324, 3.0])
+        for case in range(600):
+            n = int(rng.integers(2, 400))
+            if case % 2:
+                scores = rng.choice(values, size=n)
+            else:  # few distinct values, many of them zeros of either sign
+                scores = rng.integers(-3, 4, n) * 0.25 * rng.choice([1.0, -1.0], n)
+            labels = rng.integers(0, 2, n)
+            labels[rng.choice(n, 2, replace=False)] = [0, 1]
+            tp, fp, first, *_ = _roc_blocks(scores, labels)
+            want = stable_blocks(scores, labels)
+            assert [a.tobytes() for a in (tp, fp, first)] == [a.tobytes() for a in want], case
 
 
 class TestRocPoint:
