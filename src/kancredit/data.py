@@ -130,13 +130,18 @@ class Scaler:
 
     @classmethod
     def fit(cls, raw: np.ndarray, policy: PreprocessPolicy = PreprocessPolicy()) -> "Scaler":
-        """Impute values and bounds from one filled and sorted column at a time."""
+        """Impute values and bounds from one filled and sorted column at a time.
+
+        A column that holds an infinity after imputation is a coded
+        ``non-finite-input`` error: its bounds would be NaN.
+        """
         n_rows, n_cols = raw.shape
         impute = np.zeros(n_cols)
         income_col = FEATURE_NAMES.index("MonthlyIncome")
         observed = raw[:, income_col]
         observed = observed[~np.isnan(observed)]
-        impute[income_col] = float(np.median(observed)) if observed.size else 0.0
+        with np.errstate(invalid="ignore"):  # a NaN median of infinities is refused below
+            impute[income_col] = float(np.median(observed)) if observed.size else 0.0
         # numpy's linear quantile is order statistics i and i + 1 interpolated at
         # gamma = v - i, where v = (n - 1) * q and i = floor(v); it gives the
         # same number from those two alone, where v = gamma and i = 0
@@ -150,6 +155,8 @@ class Scaler:
             col = raw[:, j].copy()
             col[np.isnan(col)] = impute[j]
             col.sort()
+            if not (np.isfinite(col[0]) and np.isfinite(col[-1])):  # sorted: any inf or NaN is at an end
+                raise ValueError(f"non-finite-input: column {j}")
             lo[j], hi[j] = (np.quantile(col[i : i + 2], gamma) for i, gamma in cuts)
         return cls(impute=impute, lo=lo, hi=hi)
 

@@ -30,6 +30,7 @@ from kancredit.network import (
     edge_forward,
     _check_features,
     _chunk_map,
+    _chunk_rows,
     _walk,
     flatten_params,
     network_forward,
@@ -79,7 +80,8 @@ class DecisionPath:
 def edge_scores(net: KanNetwork, dataset) -> EdgeScoreMatrix:
     """Std of each edge output over the dataset, in one chunked pass.
 
-    Each ``k``-row chunk of the grid (see ``network._chunk_map``) takes its
+    Each ``k``-row chunk of the network's grid (``network._chunk_rows``, by
+    the network's width; see ``network._chunk_map``) takes its
     exact two-pass mean and sum of squared deviations from the ``phi`` in
     hand.  The chunks merge on the caller in chunk order by Chan et al.'s
     update, ``delta = mean_c - mean``, ``mean += delta * k / n``,
@@ -103,7 +105,7 @@ def edge_scores(net: KanNetwork, dataset) -> EdgeScoreMatrix:
         return k, stats
 
     means, m2s, n_old = [], [], 0
-    for k, stats in _chunk_map(chunk, x.shape[0]):
+    for k, stats in _chunk_map(chunk, x.shape[0], _chunk_rows(net)):
         n = n_old + k
         for li, (mean_c, m2_c) in enumerate(stats):
             if n_old == 0:

@@ -16,11 +16,14 @@ arrays in place edits the buffer.
 ``_layer_batch`` is the one place phi is computed, and ``_walk`` the one
 walk of a batch through the layers.  Batched inference, training and
 attribution call ``_walk`` on each chunk, and ``network_forward`` on a batch
-of one; ``layer_forward`` passes ``_layer_batch`` a batch of one, and
-``edge_forward`` a one-edge layer.  Its spline branch
-works on the banded basis: for each input it gathers the ``degree + 1``
-coefficients from ``knot_span`` on and weights them by ``basis_values``,
-summing in a fixed order, so an edge's value is the same in any batch.
+of one.  Rows per chunk follow from the network's width (``_chunk_rows``):
+a fixed budget of values over what one row holds in the widest layer pass,
+so a narrow net walks more rows per chunk.  ``layer_forward`` passes
+``_layer_batch`` a batch of one, and ``edge_forward`` a one-edge layer.  Its
+spline branch works on the banded basis: for each input it gathers the
+``degree + 1`` coefficients from ``knot_span`` on and weights them by
+``basis_values``, summing in a fixed order, so an edge's value is the same
+in any batch.
 
 Full-batch training feeds layer 0 the same matrix at every step, so
 ``training.train`` finds that matrix's band positions (each entry's knot
@@ -78,16 +81,18 @@ __all__ = [
     "load_network",
 ]
 
-# samples per chunk: the one grid of every batched pass (backward,
-# network_logits, edge_scores), read here only: _chunk_map cuts a batch into
-# CHUNK-row slices and runs them.  It bounds the (chunk, n_out, n_in)
-# temporaries: the calling thread and a helper thread of the call (see
-# _chunk_map) each hold one chunk's working set, and it is small enough that
-# a 4096-row minibatch is two chunks, one per thread; a batch of at most
-# CHUNK rows stays on the caller.  Concurrent callers each start their own
-# helper.  Chunk results are merged in chunk order, so they depend on this
-# grid and never on how many threads ran the chunks.
-CHUNK = 2048
+# values per chunk: the budget of one layer pass's working set, read here only.
+# A pass holds, per row, n_in * (degree + 1) band values and n_in * n_out edge
+# outputs; _chunk_rows turns the budget into a network's rows per chunk, the
+# one grid of its batched passes (backward, network_logits, edge_scores), and
+# _chunk_map cuts a batch into slices of that many rows and runs them.  The
+# calling thread and a helper thread of the call (see _chunk_map) each hold
+# one chunk's working set.  The budget is 2048 rows of the shipped 10,4,1
+# degree-4 network (90 values per row), so a 10,1 degree-4 network gets 3072
+# rows; a batch of at most one chunk stays on the caller.  Concurrent callers
+# each start their own helper.  Chunk results are merged in chunk order, so
+# they depend on this grid and never on how many threads ran the chunks.
+CHUNK_VALUES = 184_320
 
 COEF_INIT_SCALE = 0.1
 
@@ -165,17 +170,30 @@ class ForwardTrace:
     logit: float
 
 
-def _chunk_map(func, n_rows: int) -> list:
-    """``func(rows)`` for each ``CHUNK``-row slice of ``n_rows`` rows, on this thread and a helper.
+def _chunk_rows(net: KanNetwork) -> int:
+    """Rows per chunk of ``net``'s batched passes: ``CHUNK_VALUES`` over its widest layer pass.
 
-    For two or more chunks on a multi-CPU host, the call starts one helper
-    thread, which runs every second chunk under the caller's numpy error
-    state while the caller runs the others, and joins it before it returns
-    or raises; the results come back in chunk order.  Concurrent callers
-    each start their own helper.  A chunk that raises does not stop the
-    other thread's chunks: the error reaches the caller once both are done.
+    A layer pass holds ``n_in * (degree + 1 + n_out)`` values per row: the
+    band and the edge outputs.  At least one row.
     """
-    chunks = [slice(lo, lo + CHUNK) for lo in range(0, n_rows, CHUNK)]
+    per_row = max(
+        n_in * (net.degree + 1 + n_out) for n_in, n_out in zip(net.widths[:-1], net.widths[1:])
+    )
+    return max(1, CHUNK_VALUES // per_row)
+
+
+def _chunk_map(func, n_rows: int, chunk_rows: int) -> list:
+    """``func(rows)`` for each ``chunk_rows``-row slice of ``n_rows`` rows, on this thread and a helper.
+
+    Every caller passes ``_chunk_rows`` of its network.  For two or more
+    chunks on a multi-CPU host, the call starts one helper thread, which
+    runs every second chunk under the caller's numpy error state while the
+    caller runs the others, and joins it before it returns or raises; the
+    results come back in chunk order.  Concurrent callers each start their
+    own helper.  A chunk that raises does not stop the other thread's
+    chunks: the error reaches the caller once both are done.
+    """
+    chunks = [slice(lo, lo + chunk_rows) for lo in range(0, n_rows, chunk_rows)]
     if len(chunks) < 2 or (os.cpu_count() or 1) < 2:
         return [func(rows) for rows in chunks]
     errors = np.geterr()
@@ -271,13 +289,14 @@ def _layer_batch(layer: KanLayer, X: np.ndarray, positions=None):
     return phi.sum(axis=2), phi, (X, first, band, spline_out, sil, sig)
 
 
-def _band_positions(kv: KnotVector, X: np.ndarray):
-    """Each entry's knot interval ``span`` and offset ``u`` in it, as ``_layer_batch`` takes them.
+def _band_positions(net: KanNetwork, X: np.ndarray):
+    """Each entry's knot interval ``span`` and offset ``u`` in it, as ``net``'s layer 0 takes them.
 
     ``span`` is stored in the narrowest unsigned type that holds
     ``interior_count - 1`` (one byte per entry up to 256 intervals) and
     ``u`` as float64, both of X's shape (n, n_in), filled chunk by chunk.
     """
+    kv = net.layers[0].knots
     span = np.empty(X.shape, dtype=np.min_scalar_type(kv.interior_count - 1))
     u = np.empty(X.shape)
 
@@ -286,7 +305,7 @@ def _band_positions(kv: KnotVector, X: np.ndarray):
         span[rows] = chunk_span.reshape(-1, X.shape[1])
         u[rows] = chunk_u.reshape(-1, X.shape[1])
 
-    _chunk_map(chunk, X.shape[0])
+    _chunk_map(chunk, X.shape[0], _chunk_rows(net))
     return span, u
 
 
@@ -353,7 +372,7 @@ def _check_features(net: KanNetwork, X) -> np.ndarray:
 
 
 def network_logits(net: KanNetwork, X: np.ndarray) -> np.ndarray:
-    """Logits for a batch (n, n_features), streamed in ``CHUNK``-row chunks.
+    """Logits for a batch (n, n_features), streamed in ``_chunk_rows(net)``-row chunks.
 
     The chunks run on up to two threads (``_chunk_map``), each writing its
     rows of the result.  A logit depends only on its own row, so the result
@@ -367,7 +386,7 @@ def network_logits(net: KanNetwork, X: np.ndarray) -> np.ndarray:
             pass  # only the last layer's node sums are kept
         out[rows] = y[:, 0]
 
-    _chunk_map(chunk, X.shape[0])
+    _chunk_map(chunk, X.shape[0], _chunk_rows(net))
     return out
 
 

@@ -19,11 +19,12 @@ those bases, and the spline derivative a gather of the coefficients over
 the derivative band.  Everything is checked against central finite
 differences in the tests.
 
-Batches stream through the chunk grid of ``network._chunk_map``, which
-describes the grid and its threads, so full-batch training on hundreds of
-thousands of rows stays inside a small memory budget.  Each chunk's loss sum
-and gradient go into buffers of their own, which are added up in chunk
-order.
+Batches stream through the network's chunk grid: ``network._chunk_rows``
+sizes a chunk by the network's width, to a fixed budget of values per layer
+pass, and ``network._chunk_map`` describes the grid and its threads.  So
+full-batch training on hundreds of thousands of rows stays inside a small
+memory budget.  Each chunk's loss sum and gradient go into buffers of their
+own, which are added up in chunk order.
 
 When every step sees all rows, ``train`` finds layer 0's band positions of
 the training matrix (``network._band_positions``: each entry's knot interval
@@ -52,6 +53,7 @@ from kancredit.network import (
     _band_positions,
     _check_features,
     _chunk_map,
+    _chunk_rows,
     _param_views,
     _walk,
     flatten_params,
@@ -183,9 +185,11 @@ def _layer_backward(layer: KanLayer, cache, grad, grad_views, need_input: bool):
 def backward(net: KanNetwork, batch_x, batch_y, positions=None):
     """Mean BCE loss and its gradient in canonical parameter order.
 
-    Each chunk's loss sum and gradient are computed in buffers of their own,
-    on the calling thread and a helper thread of the call, joined before it
-    returns, and added up in chunk order.  ``positions``, if given, is
+    The batch is cut into ``network._chunk_rows(net)``-row chunks, which
+    follow from the network's width.  Each chunk's loss sum and gradient are
+    computed in buffers of their own, on the calling thread and a helper
+    thread of the call, joined before it returns, and added up in chunk
+    order.  ``positions``, if given, is
     ``batch_x``'s ``(span, u)`` from ``network._band_positions``: layer 0
     then reads them instead of finding them again, with the same result.
     """
@@ -209,7 +213,7 @@ def backward(net: KanNetwork, batch_x, batch_y, positions=None):
         return np.sum(_bce_terms(z, yc)), flat
 
     loss_sum, total = 0.0, np.zeros_like(net.params)
-    for chunk_loss, chunk_grad in _chunk_map(chunk, n_total):
+    for chunk_loss, chunk_grad in _chunk_map(chunk, n_total, _chunk_rows(net)):
         loss_sum += chunk_loss
         total += chunk_grad
     return loss_sum / n_total, total
@@ -276,7 +280,7 @@ def train(dataset, cfg: TrainConfig):
             idx = rng.choice(x.shape[0], size=cfg.batch_size, replace=False)
             return backward(net, x[idx], y[idx])
         if positions is None:
-            positions = _band_positions(net.layers[0].knots, x)
+            positions = _band_positions(net, x)
         return backward(net, x, y, positions)
 
     params, history, seconds = _fit(dataset, flatten_params(net), loss_and_grad, cfg)

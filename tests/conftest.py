@@ -2,6 +2,7 @@
 
 import csv
 import os
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -91,6 +92,13 @@ def gmsc_csv(tmp_path):
     path = tmp_path / "synthetic.csv"
     write_gmsc_csv(path, make_gmsc_rows(400, seed=7))
     return path
+
+
+def patch_chunk_rows(monkeypatch, rows):
+    """Give every network ``rows`` rows per chunk: patch ``_chunk_rows`` in each kancredit module that binds it."""
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "kancredit" and hasattr(module, "_chunk_rows"):
+            monkeypatch.setattr(module, "_chunk_rows", lambda net: rows)
 
 
 def find_real_gmsc():

@@ -21,7 +21,7 @@ from kancredit.data import load_gmsc_csv, preprocess, split
 from kancredit.network import _layer_batch, init_network, load_network, save_network
 from kancredit.training import train
 
-from conftest import make_gmsc_rows, write_gmsc_csv
+from conftest import make_gmsc_rows, patch_chunk_rows, write_gmsc_csv
 
 
 @pytest.fixture(scope="module")
@@ -572,7 +572,7 @@ class TestSweep:
 
     def test_cells_train_in_order_on_the_caller(self, tmp_path, monkeypatch):
         # four chunks per step, so every cell's passes start a helper thread
-        monkeypatch.setattr(knet, "CHUNK", 30)
+        patch_chunk_rows(monkeypatch, 30)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         cells, helpers_alive = [], []
 
@@ -718,7 +718,7 @@ class TestNoOutputOnBadInput:
 
     @pytest.mark.filterwarnings("error")
     def test_diverged_run_on_two_threads_prints_one_line(self, data_csv, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(knet, "CHUNK", 7)
+        patch_chunk_rows(monkeypatch, 7)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         out = tmp_path / "out"
         rc = main(["train", "--data", str(data_csv), "--out", str(out), "--lr", "1e300"])

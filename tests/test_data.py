@@ -621,6 +621,25 @@ class TestPreprocess:
         assert (sc.lo == 0).any() and flipped.lo.tobytes() != sc.lo.tobytes()
         assert flipped.transform(raw).tobytes() == sc.transform(raw).tobytes()
 
+    @pytest.mark.parametrize(
+        "cell", [(0, 3, np.inf), (9, 0, -np.inf), (4, 4, np.inf)], ids=["inf", "minus-inf", "income-inf"]
+    )
+    @pytest.mark.filterwarnings("error")
+    def test_infinite_cell_is_a_coded_error(self, cell):
+        # column 4 is the income: an infinity there reaches the bounds through the median too
+        row, col, value = cell
+        raw = np.random.default_rng(12).uniform(0.0, 5.0, size=(10, 10))
+        raw[row, col] = value
+        with pytest.raises(ValueError, match=rf"^non-finite-input: column {col}$"):
+            Scaler.fit(raw)
+
+    def test_infinite_income_median_is_a_coded_error(self):
+        raw = np.random.default_rng(13).uniform(0.0, 5.0, size=(10, 10))
+        income = FEATURE_NAMES.index("MonthlyIncome")
+        raw[:, income] = [np.inf, -np.inf] + [np.nan] * 8  # median NaN, imputed into eight cells
+        with pytest.raises(ValueError, match=rf"^non-finite-input: column {income}$"):
+            Scaler.fit(raw)
+
     def test_transform_leaves_its_input_unchanged(self):
         raw = self.adversarial_raw("NaN in a required column")
         before = raw.tobytes()

@@ -31,6 +31,7 @@ from kancredit.network import (
     set_params,
 )
 
+from conftest import patch_chunk_rows
 from test_training import _chunked_problem, _shared_with_the_helper
 
 GOLDEN = Path(__file__).parent / "data" / "structure_3_2_1.dot"
@@ -110,7 +111,7 @@ class TestEdgeScores:
     def test_merged_chunks_match_fsum_two_pass_oracle(self, monkeypatch):
         net = random_net([3, 2, 1], seed=33)
         ds = random_dataset(53, 3, seed=34)
-        monkeypatch.setattr(knet, "CHUNK", 7)
+        patch_chunk_rows(monkeypatch, 7)
         scores = edge_scores(net, ds).per_layer
         for got, phi in zip(scores, layer_edge_outputs(net, ds.features)):
             for q, p in np.ndindex(got.shape):
@@ -124,7 +125,7 @@ class TestEdgeScores:
         rng = np.random.default_rng(36)
         feats = rng.uniform(-1, 1, (50, 2))
         feats[:, 1] = 0.37
-        monkeypatch.setattr(knet, "CHUNK", 7)
+        patch_chunk_rows(monkeypatch, 7)
         scores = edge_scores(net, dataset_from_arrays(feats, rng.integers(0, 2, 50)))
         assert scores.per_layer[0][0, 1] < 1e-15
         assert scores.per_layer[0][0, 0] > 0.0
@@ -146,7 +147,7 @@ class TestEdgeScoresChunkHelper:
 
     @pytest.fixture(autouse=True)
     def small_grid(self, monkeypatch):
-        monkeypatch.setattr(knet, "CHUNK", 7)
+        patch_chunk_rows(monkeypatch, 7)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
 
     def test_helper_on_and_one_cpu_agree_bit_for_bit(self, monkeypatch):

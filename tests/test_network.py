@@ -31,9 +31,10 @@ from kancredit.network import (
 )
 from kancredit.splines import make_knot_vector, SplineParams
 from kancredit.training import backward
-from kancredit.network import ActivationEdge, _layer_batch
+from kancredit.network import CHUNK_VALUES, ActivationEdge, _chunk_rows, _layer_batch
 
 from test_splines import fancy_band_dot
+from conftest import patch_chunk_rows
 from test_training import _chunked_problem, _shared_with_the_helper
 
 
@@ -403,7 +404,7 @@ class TestBatchEvaluation:
         rng = np.random.default_rng(5)
         X = rng.uniform(-1, 1, size=(23, 3))
         full = network_logits(net, X)
-        monkeypatch.setattr(knet, "CHUNK", 7)
+        patch_chunk_rows(monkeypatch, 7)
         np.testing.assert_array_equal(network_logits(net, X), full)
 
     def test_chunked_backward_and_edge_scores_match_one_chunk(self, monkeypatch):
@@ -415,7 +416,7 @@ class TestBatchEvaluation:
         data = SimpleNamespace(features=X)
         loss, grad = backward(net, X, y)
         scores = edge_scores(net, data).per_layer
-        monkeypatch.setattr(knet, "CHUNK", 7)
+        patch_chunk_rows(monkeypatch, 7)
         chunked_loss, chunked_grad = backward(net, X, y)
         assert chunked_loss == pytest.approx(loss, rel=1e-12, abs=0)
         np.testing.assert_allclose(chunked_grad, grad, rtol=1e-12, atol=0)
@@ -428,7 +429,7 @@ class TestBatchEvaluation:
         lambda net, x, y: edge_scores(net, SimpleNamespace(features=x)),
     ], ids=["network_logits", "backward", "edge_scores"])
     def test_every_batched_pass_walks_the_network_grid(self, monkeypatch, run):
-        # network.CHUNK alone sets the grid: every layer sees 23 rows as 7 + 7 + 7 + 2
+        # network._chunk_rows alone sets the grid: every layer sees 23 rows as 7 + 7 + 7 + 2
         net, x, y = _chunked_problem(12, rows=23)
         rows = []
 
@@ -436,10 +437,30 @@ class TestBatchEvaluation:
             rows.append(cur.shape[0])
             return _layer_batch(layer, cur, positions)
 
-        monkeypatch.setattr(knet, "CHUNK", 7)
+        patch_chunk_rows(monkeypatch, 7)
         monkeypatch.setattr(knet, "_layer_batch", recording)
         run(net, x, y)
         assert sorted(rows) == sorted([7, 7, 7, 2] * len(net.layers))
+
+    @pytest.mark.parametrize(
+        "widths, grid_count, rows", [([10, 4, 1], 30, 2048), ([10, 1], 80, 3072)], ids=["10x4x1", "10x1"]
+    )
+    def test_shipped_nets_chunk_rows_fit_the_budget(self, monkeypatch, widths, grid_count, rows):
+        # a layer pass holds its band (degree + 1, n, n_in) and its edge outputs (n, n_out, n_in)
+        net = init_network(widths, grid_count, 4, seed=1)
+        assert _chunk_rows(net) == rows
+        held = []
+
+        def recording(layer, cur, positions=None):
+            y, phi, cache = _layer_batch(layer, cur, positions)
+            held.append((cur.shape[0], cache[2].size + phi.size))
+            return y, phi, cache
+
+        monkeypatch.setattr(knet, "_layer_batch", recording)
+        x = np.random.default_rng(9).uniform(-1.2, 1.2, size=(2 * rows + 5, widths[0]))
+        network_logits(net, x)
+        assert sorted(n for n, _ in held) == sorted([5, rows, rows] * len(net.layers))
+        assert max(values for _, values in held) <= CHUNK_VALUES
 
     def test_every_pass_equals_the_fancy_index_gather(self, monkeypatch):
         # the kernel's gather is invisible: logits, loss, gradient and scores keep every bit
@@ -449,7 +470,7 @@ class TestBatchEvaluation:
         x = rng.uniform(-1.2, 1.2, size=(23, 10))
         y = (rng.random(23) < 0.4).astype(np.float64)
         data = SimpleNamespace(features=x)
-        monkeypatch.setattr(knet, "CHUNK", 7)  # 7 + 7 + 7 + 2 rows
+        patch_chunk_rows(monkeypatch, 7)  # 7 + 7 + 7 + 2 rows
 
         def passes():
             loss, grad = backward(net, x, y)
@@ -482,7 +503,7 @@ class TestLogitsChunkHelper:
 
     @pytest.fixture(autouse=True)
     def small_grid(self, monkeypatch):
-        monkeypatch.setattr(knet, "CHUNK", 7)
+        patch_chunk_rows(monkeypatch, 7)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
 
     def test_helper_on_and_one_cpu_agree_bit_for_bit(self, monkeypatch):

@@ -26,7 +26,7 @@ from kancredit.network import (
     sigmoid,
     silu,
 )
-from kancredit.splines import _span_offset, basis_derivatives, knot_span, make_knot_vector
+from kancredit.splines import _span_offset, basis_derivatives, knot_span
 from kancredit.training import (
     AdamState,
     TrainConfig,
@@ -37,6 +37,7 @@ from kancredit.training import (
     train,
 )
 
+from conftest import patch_chunk_rows
 from test_splines import dense
 
 LN2 = float(np.log(2.0))
@@ -205,7 +206,7 @@ class TestChunkHelper:
 
     @pytest.fixture(autouse=True)
     def small_grid(self, monkeypatch):
-        monkeypatch.setattr(knet, "CHUNK", 7)
+        patch_chunk_rows(monkeypatch, 7)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
 
     def test_helper_on_and_off_agree_bit_for_bit(self, monkeypatch):
@@ -243,22 +244,22 @@ class TestChunkHelper:
             raise FloatingPointError(f"chunk {rows.start} failed")
 
         with pytest.raises(FloatingPointError, match=r"^chunk \d+ failed$"):
-            _chunk_map(chunk, 28)
+            _chunk_map(chunk, 28, 7)
         assert helper_failed.is_set()
         helper_ran = threading.Event()
         doubled = _shared_with_the_helper(lambda rows: 2 * rows.start, helper_ran)
-        assert _chunk_map(doubled, 28) == [0, 14, 28, 42]
+        assert _chunk_map(doubled, 28, 7) == [0, 14, 28, 42]
         assert helper_ran.is_set()
 
     def test_forked_child_after_a_two_thread_call_gets_its_chunks(self):
         helper_ran = threading.Event()
         doubled = _shared_with_the_helper(lambda rows: 2 * rows.start, helper_ran)
         # a call whose helper thread took a chunk; the helper is joined before the fork
-        assert _chunk_map(doubled, 28) == [0, 14, 28, 42]
+        assert _chunk_map(doubled, 28, 7) == [0, 14, 28, 42]
         pid = os.fork()
         if pid == 0:  # the child: exit 0 only if the chunks came back
             signal.alarm(20)
-            os._exit(0 if _chunk_map(lambda rows: 2 * rows.start, 28) == [0, 14, 28, 42] else 1)
+            os._exit(0 if _chunk_map(lambda rows: 2 * rows.start, 28, 7) == [0, 14, 28, 42] else 1)
         deadline = time.monotonic() + 30
         while (status := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
             time.sleep(0.01)
@@ -318,26 +319,40 @@ class TestChunkHelper:
                 return rows.start
 
             with pytest.raises(FloatingPointError):
-                _chunk_map(chunk, 28)
+                _chunk_map(chunk, 28, 7)
             assert ran_on_caller == {True, False} and helpers() == []
 
 
 class TestTwoThreadPeakMemory:
-    """Each batched pass on 16384 rows of the shipped 10,4,1 grid-30 model, on two threads.
+    """Each batched pass on 16384 rows of a shipped model at its own chunk grid, on two threads.
 
-    Eight 2048-row chunks, one in flight on each thread, hold 7-9 MB at most;
-    an 8192-row grid, where each thread held a whole 8192-row chunk, took
-    13 MB (logits), 16 MB (edge scores) and 32 MB (backward).
+    Rows per chunk follow from the network's width: 2048 for 10,4,1 grid 30
+    and 3072 for 10,1 grid 80, one chunk in flight on each thread.  The
+    peaks read 7.1-9.0 MB (10,4,1) and 3.9-9.6 MB (10,1), backward the
+    highest; an 8192-row grid for 10,4,1, where each thread held a whole
+    8192-row chunk, took 13 MB (logits), 16 MB (edge scores) and 32 MB
+    (backward).
     """
 
-    @pytest.mark.parametrize("run", [
+    passes = pytest.mark.parametrize("run", [
         lambda net, x, y: network_logits(net, x),
         lambda net, x, y: edge_scores(net, SimpleNamespace(features=x)),
         backward,
     ], ids=["network_logits", "edge_scores", "backward"])
+
+    @passes
     def test_peak_below_10_mb(self, monkeypatch, run):
+        assert self.peak(monkeypatch, run, [10, 4, 1], 30) < 10e6
+
+    @passes
+    def test_10x1_g80_peak_below_10_mb(self, monkeypatch, run):
+        assert self.peak(monkeypatch, run, [10, 1], 80) < 10e6
+
+    @staticmethod
+    def peak(monkeypatch, run, widths, grid_count):
+        """The tracemalloc peak of ``run`` on a fresh degree-4 net, once the helper took a chunk."""
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        net = init_network([10, 4, 1], 30, 4, seed=3)
+        net = init_network(widths, grid_count, 4, seed=3)
         rng = np.random.default_rng(29)
         x = rng.uniform(-1.2, 1.2, size=(16384, 10))
         y = rng.integers(0, 2, size=16384).astype(np.float64)
@@ -350,8 +365,7 @@ class TestTwoThreadPeakMemory:
         finally:
             tracemalloc.stop()
         assert helper_ran.is_set()
-        assert peak < 10e6
-
+        return peak
 
     def test_full_batch_train_holds_only_the_positions_more(self, monkeypatch):
         # layer 0's positions are 9 bytes per entry; a cached band would be 40 (degree 4)
@@ -393,11 +407,11 @@ class TestBandPositions:
         "widths, grid_count", [([10, 1], 80), ([10, 4, 1], 30)], ids=["10x1", "10x4x1"]
     )
     def test_backward_with_positions_keeps_every_bit(self, monkeypatch, widths, grid_count, cpus):
-        monkeypatch.setattr(knet, "CHUNK", 7)  # 7 + 7 + 7 + 2 rows
+        patch_chunk_rows(monkeypatch, 7)  # 7 + 7 + 7 + 2 rows
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         net, x, y = _positions_problem(widths, grid_count, seed=41)
         plain_loss, plain_grad = backward(net, x, y)
-        positions = _band_positions(net.layers[0].knots, x)
+        positions = _band_positions(net, x)
         spans_found = []
         counting_span = lambda kv, points: spans_found.append(np.size(points)) or knot_span(kv, points)
         helper_ran = threading.Event()
@@ -414,13 +428,13 @@ class TestBandPositions:
 
     @pytest.mark.parametrize("batch", ["all", "n"])
     def test_full_batch_train_is_the_plain_backward_loop(self, monkeypatch, batch):
-        monkeypatch.setattr(knet, "CHUNK", 7)
+        patch_chunk_rows(monkeypatch, 7)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         net, x, y = _positions_problem([10, 4, 1], 30, seed=42)
         cfg = TrainConfig(widths=(10, 4, 1), grid_count=30, degree=4, steps=6, seed=5,
                           batch_size=-1 if batch == "all" else x.shape[0])
         found = []
-        counting = lambda kv, X: found.append(X.shape) or _band_positions(kv, X)
+        counting = lambda net, X: found.append(X.shape) or _band_positions(net, X)
         monkeypatch.setattr(ktrain, "_band_positions", counting)
         trained, report = train(SimpleNamespace(features=x, labels=y), cfg)
         assert found == [x.shape]
@@ -435,9 +449,10 @@ class TestBandPositions:
         assert report.loss_history.tobytes() == np.array(history).tobytes()
 
     def test_range_ends_land_in_the_end_intervals(self):
-        kv = make_knot_vector(-1.0, 1.0, 5, 3)
+        net = init_network([5, 1], 5, 3, seed=0)
+        kv = net.layers[0].knots
         x = np.array([[-1.0, 1.0, -3.0, 3.0, np.nextafter(1.0, 0.0)], [0.0, 0.4, -0.6, 0.99, -1e-300]])
-        span, u = _band_positions(kv, x)
+        span, u = _band_positions(net, x)
         assert span.dtype == np.uint8 and u.dtype == np.float64
         assert span[0].tolist() == [0, 4, 0, 4, 4]
         assert u[0, 0] == u[0, 2] == 0.0 and u[0, 1] == u[0, 3] == pytest.approx(1.0, abs=1e-15)
@@ -448,17 +463,17 @@ class TestBandPositions:
         "grid_count, dtype", [(1, np.uint8), (256, np.uint8), (257, np.uint16), (300, np.uint16)]
     )
     def test_span_type_is_the_narrowest_that_holds_the_last_interval(self, grid_count, dtype):
-        kv = make_knot_vector(-1.0, 1.0, grid_count, 3)
+        net = init_network([3, 1], grid_count, 3, seed=0)
+        kv = net.layers[0].knots
         x = np.array([[1.0, -1.0, 0.5]])
-        span, _ = _band_positions(kv, x)
+        span, _ = _band_positions(net, x)
         assert span.dtype == dtype
         assert span.tolist() == [[grid_count - 1, 0, knot_span(kv, 0.5)]]
 
     def test_positions_of_another_shape_are_refused(self):
         net, x, y = _positions_problem([10, 1], 80, seed=43)
-        kv = net.layers[0].knots
         message = r"^dimension-mismatch: positions .* do not match features \(23, 10\)$"
-        for wrong in (_band_positions(kv, x[:-1]), _band_positions(kv, x[:, :-1]), _band_positions(kv, x)[:1]):
+        for wrong in (_band_positions(net, x[:-1]), _band_positions(net, x[:, :-1]), _band_positions(net, x)[:1]):
             with pytest.raises(ValueError, match=message):
                 backward(net, x, y, wrong)
 
