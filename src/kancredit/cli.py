@@ -1,9 +1,11 @@
 """Command-line surface: train, eval, explain, sweep, export-dot, curves.
 
 Every artifact-producing run writes a ``manifest.txt`` of resolved settings
-into its output directory. A manifest is itself a valid ``--config`` file, so
-``kancredit train --config runA/manifest.txt --out runB`` reproduces runA's
-metric files byte-for-byte. Precedence is defaults < config file < flags.
+into its output directory; ``main`` resolves each command's settings and
+writes that manifest, once for every command. A manifest is itself a valid
+``--config`` file, so ``kancredit train --config runA/manifest.txt --out
+runB`` reproduces runA's metric files byte-for-byte. Precedence is defaults
+< config file < flags.
 
 No command writes a file or creates a directory before its inputs are read
 and checked: a run that fails on its data, checkpoint or settings leaves
@@ -28,6 +30,7 @@ splits by and ``eval``, ``explain``, ``sweep`` and ``export-dot`` rebuild from.
 """
 
 import argparse
+import codecs
 import os
 import sys
 from dataclasses import dataclass
@@ -144,11 +147,12 @@ _KEYS = {
 def _read_config(path):
     """The ``(key, value)`` pairs of a UTF-8 ``key=value`` file.
 
-    The text is decoded as the file system decodes names, which undoes
+    A leading byte-order mark is dropped, as the CSV reader drops it. The
+    text is decoded as the file system decodes names, which undoes
     ``_write_kv``: a path it wrote from the command line names the same file
     again under any locale. A key set on two lines is refused.
     """
-    data = Path(path).read_bytes()
+    data = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
     try:
         data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -239,16 +243,15 @@ def _out_dir(values) -> Path:
     return out
 
 
-def _emit(command: str, values, name: str, text: str) -> int:
-    """Write ``text`` to stdout, or with a manifest to ``<out>/<name>``."""
+def _emit(command: str, values, name: str, text: str) -> Path | None:
+    """Write ``text`` to stdout, or to ``<out>/<name>`` and return ``--out``."""
     if values["out"] is None:
         sys.stdout.write(text)
-        return 0
+        return None
     out = _out_dir(values)
     (out / name).write_text(text, encoding="utf-8")
-    _write_kv(out / "manifest.txt", values, command)
     print(f"{command}: wrote {out / name}")
-    return 0
+    return out
 
 
 def _metric_report(net, dataset, split_name, threshold=0.5):
@@ -284,12 +287,12 @@ def _train_config(values) -> TrainConfig:
 
 
 # ---------------------------------------------------------------------------
-# Subcommands.
+# Subcommands: each takes its resolved settings and returns the --out
+# directory it wrote, or None when it wrote to stdout; main writes the manifest.
 # ---------------------------------------------------------------------------
 
 
-def cmd_train(ns) -> int:
-    values = _resolve("train", ns)
+def cmd_train(values) -> Path:
     train_ds, test_ds = _load_split(values)
     net, report = train(train_ds, _train_config(values))
     reports = {
@@ -311,13 +314,11 @@ def cmd_train(ns) -> int:
         f"test_f1_class0={_fmt(reports['test']['class0_f1'])} "
         f"seconds={report.seconds:.2f}"
     )
-    _write_kv(out / "manifest.txt", values, "train")
     print(f"train: wrote {out / 'model.json'}")
-    return 0
+    return out
 
 
-def cmd_eval(ns) -> int:
-    values = _resolve("eval", ns)
+def cmd_eval(values) -> Path:
     net = load_network(values["model"])
     _check_against_checkpoint(net, values)
     dataset = _scored_split(values)
@@ -325,7 +326,6 @@ def cmd_eval(ns) -> int:
     out = _out_dir(values)
     _write_kv(out / "metrics.txt", metrics)
     _write_csv(out / "roc.csv", ("fpr", "tpr", "threshold"), roc_curve(probs, dataset.labels))
-    _write_kv(out / "manifest.txt", values, "eval")
     print(f"eval: split={values['on']} n={metrics['n_samples']}")
     print(f"eval: roc_auc={_fmt(metrics['roc_auc'])}")
     for cls in (0, 1):
@@ -333,11 +333,10 @@ def cmd_eval(ns) -> int:
             f"eval: class{cls} precision={_fmt(metrics[f'class{cls}_precision'])} "
             f"recall={_fmt(metrics[f'class{cls}_recall'])} f1={_fmt(metrics[f'class{cls}_f1'])}"
         )
-    return 0
+    return out
 
 
-def cmd_explain(ns) -> int:
-    values = _resolve("explain", ns)
+def cmd_explain(values) -> Path:
     net = load_network(values["model"])
     dataset = _scored_split(values)
     i = values["sample"]
@@ -364,9 +363,8 @@ def cmd_explain(ns) -> int:
         print(f"explain: sample={i} logit={_fmt(path.logit)}")
     top = ", ".join(ids[p] for p in ranking[:3])
     print(f"explain: top features {top}")
-    _write_kv(out / "manifest.txt", values, "explain")
     print(f"explain: wrote {out / 'attribution.csv'}")
-    return 0
+    return out
 
 
 def _sweep_cell(values, train_ds, test_ds):
@@ -384,8 +382,7 @@ def _sweep_cell(values, train_ds, test_ds):
     return metrics["roc_auc"], metrics["class0_f1"], report.seconds
 
 
-def cmd_sweep(ns) -> int:
-    values = _resolve("sweep", ns)
+def cmd_sweep(values) -> Path:
     train_ds, test_ds = _load_split(values)
     out = Path(values["out"])
     base = {k.name: k.default for k in _KEYS["train"]} | {
@@ -432,19 +429,16 @@ def cmd_sweep(ns) -> int:
         "reference.lbfgs_grid10.seconds=143.15",
     ]
     (out / "reference.txt").write_text("\n".join(reference) + "\n", encoding="utf-8")
-    _write_kv(out / "manifest.txt", values, "sweep")
-    return 0
+    return out
 
 
-def cmd_export_dot(ns) -> int:
-    values = _resolve("export-dot", ns)
+def cmd_export_dot(values) -> Path | None:
     net = load_network(values["model"])
     dot = export_dot(net, edge_scores(net, _scored_split(values)))
     return _emit("export-dot", values, "structure.dot", dot)
 
 
-def cmd_curves(ns) -> int:
-    values = _resolve("curves", ns)
+def cmd_curves(values) -> Path | None:
     net = load_network(values["model"])
     rows = sample_activation_curves(net, values["points"])
     text = "".join(_csv_lines(("layer", "q", "p", "x", "phi"), rows))
@@ -511,7 +505,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (None, 0) else 2
     try:
-        return ns.func(ns)
+        values = _resolve(ns.command, ns)
+        out = ns.func(values)
+        if out is not None:
+            _write_kv(out / "manifest.txt", values, ns.command)
+        return 0
     except OSError as exc:
         print(f"error: io-error: {exc}", file=sys.stderr)
         return 2

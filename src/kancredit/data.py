@@ -133,9 +133,12 @@ class Scaler:
         """Impute values and bounds from one filled and sorted column at a time.
 
         A column that holds an infinity after imputation is a coded
-        ``non-finite-input`` error: its bounds would be NaN.
+        ``non-finite-input`` error: its bounds would be NaN.  A matrix with
+        no rows is ``empty-input``.
         """
         n_rows, n_cols = raw.shape
+        if n_rows == 0:
+            raise ValueError("empty-input: no rows to fit the scaler on")
         impute = np.zeros(n_cols)
         income_col = FEATURE_NAMES.index("MonthlyIncome")
         observed = raw[:, income_col]
@@ -376,14 +379,15 @@ def split(dataset: Dataset, test_fraction: float, seed: int):
     its training rows only, and each part is that scaler's transform of its
     raw rows, gathered once and scaled in place.  One without (from
     ``dataset_from_arrays``, or a part of an earlier split) is split by
-    indexing its features, and both parts keep its scaler.  A fraction that leaves either part without a row of each
-    class raises ``empty-split``.
+    indexing its features, and both parts keep its scaler.  A label other
+    than 0 or 1 raises ``invalid-label``, and a fraction that leaves either
+    part without a row of each class raises ``empty-split``.
     """
     if not 0.0 < test_fraction < 1.0:
         raise ValueError(f"invalid-fraction: need 0 < fraction < 1, got {test_fraction}")
     if seed < 0:
         raise ValueError(f"invalid-seed: need seed >= 0, got {seed}")
-    labels = dataset.labels
+    labels = _binary(dataset.labels)
     rng = np.random.default_rng(seed)
     test_idx = []
     for cls in (0, 1):
@@ -417,13 +421,22 @@ def split(dataset: Dataset, test_fraction: float, seed: int):
     return train, make(rows[test_idx], test_idx)
 
 
+def _binary(labels) -> np.ndarray:
+    """``labels`` as an array, else ``invalid-label`` if one is not 0 or 1."""
+    labels = np.asarray(labels)
+    if not np.all((labels == 0) | (labels == 1)):
+        raise ValueError("invalid-label: labels must be 0 or 1")
+    return labels
+
+
 def dataset_from_arrays(features, labels) -> Dataset:
     """Wrap plain arrays as a Dataset with columns x0, x1, ... (no scaler, no raw matrix).
 
-    Without a raw matrix, ``split`` cuts it by indexing the features.
+    Labels must be 0 or 1.  Without a raw matrix, ``split`` cuts it by
+    indexing the features.
     """
     features = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = _binary(labels).astype(np.int64)
     if features.ndim != 2 or labels.shape != (features.shape[0],):
         raise ValueError(
             f"dimension-mismatch: features {features.shape} vs labels {labels.shape}"

@@ -30,8 +30,6 @@ from kancredit.network import (
     edge_forward,
     _check_features,
     _chunk_map,
-    _chunk_rows,
-    _walk,
     flatten_params,
     network_forward,
 )
@@ -80,11 +78,10 @@ class DecisionPath:
 def edge_scores(net: KanNetwork, dataset) -> EdgeScoreMatrix:
     """Std of each edge output over the dataset, in one chunked pass.
 
-    Each ``k``-row chunk of the network's grid (``network._chunk_rows``, by
-    the network's width; see ``network._chunk_map``) takes its
-    exact two-pass mean and sum of squared deviations from the ``phi`` in
-    hand.  The chunks merge on the caller in chunk order by Chan et al.'s
-    update, ``delta = mean_c - mean``, ``mean += delta * k / n``,
+    Each chunk of ``network._chunk_map`` takes, from the ``phi`` in hand of
+    its ``k`` rows, its exact two-pass mean and sum of squared deviations.
+    The chunks merge on the caller in chunk order by Chan et al.'s update,
+    ``delta = mean_c - mean``, ``mean += delta * k / n``,
     ``m2 += m2_c + delta**2 * n_old * k / n``.  The first chunk is taken as
     is, so data of at most one chunk gives the plain two-pass result bit for
     bit.
@@ -93,11 +90,10 @@ def edge_scores(net: KanNetwork, dataset) -> EdgeScoreMatrix:
     if x.shape[0] == 0:
         raise ValueError("empty-dataset: need a nonempty feature matrix")
 
-    def chunk(rows):
-        cur = x[rows]
-        k = cur.shape[0]
+    def chunk(rows, layers):
         stats = []
-        for _, phi, _ in _walk(net, cur):
+        for _, phi, _ in layers:
+            k = phi.shape[0]
             mean_c = phi.sum(axis=0) / k
             phi -= mean_c  # phi is this chunk's own; square its deviations in place
             phi *= phi
@@ -105,7 +101,7 @@ def edge_scores(net: KanNetwork, dataset) -> EdgeScoreMatrix:
         return k, stats
 
     means, m2s, n_old = [], [], 0
-    for k, stats in _chunk_map(chunk, x.shape[0], _chunk_rows(net)):
+    for k, stats in _chunk_map(net, x, chunk):
         n = n_old + k
         for li, (mean_c, m2_c) in enumerate(stats):
             if n_old == 0:

@@ -14,29 +14,31 @@ buffer, so writing the buffer updates every layer, and editing a layer's
 arrays in place edits the buffer.
 
 ``_layer_batch`` is the one place phi is computed, and ``_walk`` the one
-walk of a batch through the layers.  Batched inference, training and
-attribution call ``_walk`` on each chunk, and ``network_forward`` on a batch
-of one.  Rows per chunk follow from the network's width (``_chunk_rows``):
-a fixed budget of values over what one row holds in the widest layer pass,
-so a narrow net walks more rows per chunk.  ``layer_forward`` passes
-``_layer_batch`` a batch of one, and ``edge_forward`` a one-edge layer.  Its
-spline branch works on the banded basis: for each input it gathers the
-``degree + 1`` coefficients from ``knot_span`` on and weights them by
-``basis_values``, summing in a fixed order, so an edge's value is the same
-in any batch.
+walk of a batch through the layers.  ``_chunk_map`` is the one batched pass:
+it cuts a batch into chunks and hands each caller's per-chunk body the
+chunk's rows and its lazy ``_walk``, so batched inference, training and
+attribution never slice or walk a batch themselves; ``network_forward``
+walks a batch of one.  Rows per chunk follow from the network's width
+(``_chunk_rows``): a fixed budget of values over what one row holds in the
+widest layer pass, so a narrow net walks more rows per chunk.
+``layer_forward`` passes ``_layer_batch`` a batch of one, and
+``edge_forward`` a one-edge layer.  Its spline branch works on the banded
+basis: for each input it gathers the ``degree + 1`` coefficients from
+``knot_span`` on and weights them by ``basis_values``, summing in a fixed
+order, so an edge's value is the same in any batch.
 
 Full-batch training feeds layer 0 the same matrix at every step, so
 ``training.train`` finds that matrix's band positions (each entry's knot
-interval and offset, ``_band_positions``) once per run and passes them down
-through ``_walk``; layer 0 then takes its first index from the interval and
-its band from ``splines._band_at`` at the offset, the same numbers
-``knot_span`` and ``basis_values`` give.  Every other pass (minibatch steps,
-hidden layers, inference, attribution) has no positions and calls
-``knot_span`` and ``basis_values`` on its inputs, which find the positions
-once each.  That path keeps ``basis_values`` because the benchmark's traced
-runs (``perfbench/run.py``, ``REACHES``) require it to be called; once that
-pin goes, one ``_span_offset`` per layer pass can feed ``_band_at``
-everywhere.
+interval and offset, ``_band_positions``) once per run and passes them to
+``_chunk_map``, which hands each chunk's share to its ``_walk``; layer 0
+then takes its first index from the interval and its band from
+``splines._band_at`` at the offset, the same numbers ``knot_span`` and
+``basis_values`` give.  Every other pass (minibatch steps, hidden layers,
+inference, attribution) has no positions and calls ``knot_span`` and
+``basis_values`` on its inputs, which find the positions once each.  That
+path keeps ``basis_values`` because the benchmark's traced runs
+(``perfbench/run.py``, ``REACHES``) require it to be called; once that pin
+goes, one ``_span_offset`` per layer pass can feed ``_band_at`` everywhere.
 """
 
 from __future__ import annotations
@@ -85,7 +87,7 @@ __all__ = [
 # A pass holds, per row, n_in * (degree + 1) band values and n_in * n_out edge
 # outputs; _chunk_rows turns the budget into a network's rows per chunk, the
 # one grid of its batched passes (backward, network_logits, edge_scores), and
-# _chunk_map cuts a batch into slices of that many rows and runs them.  The
+# _chunk_map cuts a batch into slices of that many rows and walks each.  The
 # calling thread and a helper thread of the call (see _chunk_map) each hold
 # one chunk's working set.  The budget is 2048 rows of the shipped 10,4,1
 # degree-4 network (90 values per row), so a 10,1 degree-4 network gets 3072
@@ -182,29 +184,44 @@ def _chunk_rows(net: KanNetwork) -> int:
     return max(1, CHUNK_VALUES // per_row)
 
 
-def _chunk_map(func, n_rows: int, chunk_rows: int) -> list:
-    """``func(rows)`` for each ``chunk_rows``-row slice of ``n_rows`` rows, on this thread and a helper.
+def _chunk_map(net: KanNetwork, X: np.ndarray, per_chunk, positions=None) -> list:
+    """``per_chunk(rows, layers)`` for each chunk ``rows`` of X's rows, on this thread and a helper.
 
-    Every caller passes ``_chunk_rows`` of its network.  For two or more
-    chunks on a multi-CPU host, the call starts one helper thread, which
-    runs every second chunk under the caller's numpy error state while the
-    caller runs the others, and joins it before it returns or raises; the
-    results come back in chunk order.  Concurrent callers each start their
-    own helper.  A chunk that raises does not stop the other thread's
-    chunks: the error reaches the caller once both are done.
+    The chunks are slices of ``_chunk_rows(net)`` rows.  ``layers`` is the
+    lazy ``_walk`` of the chunk ``X[rows]``, given its share of
+    ``positions`` (X's layer-0 band positions from ``_band_positions``)
+    when those are passed; a body that never iterates it runs no layer.
+    For two or more chunks on a multi-CPU host, the call starts one helper
+    thread, which runs every second chunk under the caller's numpy error
+    state while the caller runs the others, and joins it before it returns
+    or raises; the results come back in chunk order.  Concurrent callers
+    each start their own helper.  A chunk that raises does not stop the
+    other thread's chunks: the error reaches the caller once both are done.
     """
-    chunks = [slice(lo, lo + chunk_rows) for lo in range(0, n_rows, chunk_rows)]
+    if positions is not None:
+        shapes = [np.shape(part) for part in positions]
+        if shapes != [X.shape] * 2:
+            raise ValueError(
+                f"dimension-mismatch: positions {shapes} do not match features {X.shape}"
+            )
+    step = _chunk_rows(net)
+    chunks = [slice(lo, lo + step) for lo in range(0, X.shape[0], step)]
+
+    def run(rows):
+        sliced = None if positions is None else tuple(part[rows] for part in positions)
+        return per_chunk(rows, _walk(net, X[rows], sliced))
+
     if len(chunks) < 2 or (os.cpu_count() or 1) < 2:
-        return [func(rows) for rows in chunks]
+        return [run(rows) for rows in chunks]
     errors = np.geterr()
 
     def helper_chunks():
         with np.errstate(**errors):
-            return [func(rows) for rows in chunks[1::2]]
+            return [run(rows) for rows in chunks[1::2]]
 
     with ThreadPoolExecutor(1, thread_name_prefix="kancredit-chunk") as pool:
         helper = pool.submit(helper_chunks)
-        mine = [func(rows) for rows in chunks[::2]]
+        mine = [run(rows) for rows in chunks[::2]]
     results = [None] * len(chunks)
     results[::2], results[1::2] = mine, helper.result()
     return results
@@ -300,12 +317,12 @@ def _band_positions(net: KanNetwork, X: np.ndarray):
     span = np.empty(X.shape, dtype=np.min_scalar_type(kv.interior_count - 1))
     u = np.empty(X.shape)
 
-    def chunk(rows):
+    def chunk(rows, layers):  # positions only: no layer runs
         chunk_span, chunk_u, _ = _span_offset(kv, X[rows].ravel())
         span[rows] = chunk_span.reshape(-1, X.shape[1])
         u[rows] = chunk_u.reshape(-1, X.shape[1])
 
-    _chunk_map(chunk, X.shape[0], _chunk_rows(net))
+    _chunk_map(net, X, chunk)
     return span, u
 
 
@@ -381,12 +398,12 @@ def network_logits(net: KanNetwork, X: np.ndarray) -> np.ndarray:
     X = _check_features(net, X)
     out = np.empty(X.shape[0])
 
-    def chunk(rows):
-        for y, _, _ in _walk(net, X[rows]):
+    def chunk(rows, layers):
+        for y, _, _ in layers:
             pass  # only the last layer's node sums are kept
         out[rows] = y[:, 0]
 
-    _chunk_map(chunk, X.shape[0], _chunk_rows(net))
+    _chunk_map(net, X, chunk)
     return out
 
 

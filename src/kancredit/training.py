@@ -19,21 +19,16 @@ those bases, and the spline derivative a gather of the coefficients over
 the derivative band.  Everything is checked against central finite
 differences in the tests.
 
-Batches stream through the network's chunk grid: ``network._chunk_rows``
-sizes a chunk by the network's width, to a fixed budget of values per layer
-pass, and ``network._chunk_map`` describes the grid and its threads.  So
+``backward`` runs its body on each chunk of ``network._chunk_map``, which
+cuts the batch on the network's grid and walks each chunk forward, so
 full-batch training on hundreds of thousands of rows stays inside a small
 memory budget.  Each chunk's loss sum and gradient go into buffers of their
 own, which are added up in chunk order.
 
 When every step sees all rows, ``train`` finds layer 0's band positions of
-the training matrix (``network._band_positions``: each entry's knot interval
-in one byte up to 256 intervals, and its float64 offset, 9 bytes per entry)
-once, on its first step, and passes them to every ``backward``; caching the
-whole band instead would hold 40 bytes per entry at degree 4.  Minibatch
-steps draw new rows each step and pass none, and neither does
-``grad_check``, so they find the positions per chunk through ``knot_span``
-and ``basis_values``, as inference and attribution do.  Both sources give
+the training matrix once, on its first step (``network._band_positions``),
+and passes them to every ``backward``, which hands them on to
+``_chunk_map``.  Minibatch steps and ``grad_check`` pass none.  Both give
 the same numbers, so a full-batch run is bit for bit the loop of plain
 ``backward`` calls.  Full-batch steps still call the public ``backward``
 once each, which the benchmark times step by step.
@@ -53,9 +48,7 @@ from kancredit.network import (
     _band_positions,
     _check_features,
     _chunk_map,
-    _chunk_rows,
     _param_views,
-    _walk,
     flatten_params,
     init_network,
     network_logits,
@@ -185,27 +178,20 @@ def _layer_backward(layer: KanLayer, cache, grad, grad_views, need_input: bool):
 def backward(net: KanNetwork, batch_x, batch_y, positions=None):
     """Mean BCE loss and its gradient in canonical parameter order.
 
-    The batch is cut into ``network._chunk_rows(net)``-row chunks, which
-    follow from the network's width.  Each chunk's loss sum and gradient are
-    computed in buffers of their own, on the calling thread and a helper
-    thread of the call, joined before it returns, and added up in chunk
-    order.  ``positions``, if given, is
-    ``batch_x``'s ``(span, u)`` from ``network._band_positions``: layer 0
-    then reads them instead of finding them again, with the same result.
+    The batch runs through ``network._chunk_map``.  Each chunk's loss sum
+    and gradient are computed in buffers of their own and added up in chunk
+    order.  ``positions``, if given, is ``batch_x``'s layer-0 band positions
+    from ``network._band_positions``: layer 0 then reads them instead of
+    finding them again, with the same result.
     """
     x, y = _check_batch(net, batch_x, batch_y)
     n_total = x.shape[0]
-    if positions is not None:
-        shapes = [np.shape(part) for part in positions]
-        if shapes != [x.shape] * 2:
-            raise ValueError(f"dimension-mismatch: positions {shapes} do not match features {x.shape}")
 
-    def chunk(rows):
+    def chunk(rows, layers):
         flat = np.zeros_like(net.params)
         grad_views = _param_views(flat, net.widths, net.layers[0].knots.n_basis)
-        sliced = None if positions is None else tuple(part[rows] for part in positions)
         # each layer's output and cache, not its phi: every phi held to the end would raise the peak
-        outs, caches = zip(*[(out, cache) for out, _, cache in _walk(net, x[rows], sliced)])
+        outs, caches = zip(*[(out, cache) for out, _, cache in layers])
         z, yc = outs[-1][:, 0], y[rows]
         grad = ((sigmoid(z) - yc) / n_total)[:, None]
         for li in range(len(net.layers) - 1, -1, -1):
@@ -213,7 +199,7 @@ def backward(net: KanNetwork, batch_x, batch_y, positions=None):
         return np.sum(_bce_terms(z, yc)), flat
 
     loss_sum, total = 0.0, np.zeros_like(net.params)
-    for chunk_loss, chunk_grad in _chunk_map(chunk, n_total, _chunk_rows(net)):
+    for chunk_loss, chunk_grad in _chunk_map(net, x, chunk, positions):
         loss_sum += chunk_loss
         total += chunk_grad
     return loss_sum / n_total, total

@@ -2,7 +2,6 @@
 
 import csv
 import os
-import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -95,10 +94,8 @@ def gmsc_csv(tmp_path):
 
 
 def patch_chunk_rows(monkeypatch, rows):
-    """Give every network ``rows`` rows per chunk: patch ``_chunk_rows`` in each kancredit module that binds it."""
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "kancredit" and hasattr(module, "_chunk_rows"):
-            monkeypatch.setattr(module, "_chunk_rows", lambda net: rows)
+    """Give every network ``rows`` rows per chunk: ``network._chunk_rows`` alone sizes the grid."""
+    monkeypatch.setattr("kancredit.network._chunk_rows", lambda net: rows)
 
 
 def find_real_gmsc():

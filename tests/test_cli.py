@@ -162,6 +162,22 @@ class TestManifestReproducibility:
         assert "points=3" in (out / "manifest.txt").read_text().splitlines()
         assert len((out / "curves.csv").read_text().splitlines()) == 1 + 10 * 3
 
+    def test_config_with_a_byte_order_mark_resolves_as_without(self, trained_run, tmp_path):
+        text = "command=curves\npoints=3\n"
+        outs = []
+        for name, data in (("plain", text.encode()), ("bom", b"\xef\xbb\xbf" + text.encode())):
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_bytes(data)
+            out = tmp_path / name
+            rc = main(["curves", "--config", str(cfg), "--model", str(trained_run / "model.json"),
+                       "--out", str(out)])
+            assert rc == 0
+            outs.append(out)
+        assert (outs[0] / "curves.csv").read_bytes() == (outs[1] / "curves.csv").read_bytes()
+        manifests = [(out / "manifest.txt").read_text().replace(str(out), "<out>") for out in outs]
+        assert manifests[0] == manifests[1]
+        assert kcli._read_config(tmp_path / "bom.cfg") == kcli._read_config(tmp_path / "plain.cfg")
+
     def test_config_for_other_command_rejected(self, trained_run, data_csv, tmp_path, capsys):
         rc = main(
             ["eval", "--config", str(trained_run / "manifest.txt"),

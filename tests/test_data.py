@@ -640,6 +640,10 @@ class TestPreprocess:
         with pytest.raises(ValueError, match=rf"^non-finite-input: column {income}$"):
             Scaler.fit(raw)
 
+    def test_no_rows_is_a_coded_error(self):
+        with pytest.raises(ValueError, match=r"^empty-input: "):
+            Scaler.fit(np.zeros((0, 10)))
+
     def test_transform_leaves_its_input_unchanged(self):
         raw = self.adversarial_raw("NaN in a required column")
         before = raw.tobytes()
@@ -851,6 +855,22 @@ class TestSplit:
     def test_array_dataset_shape_mismatch(self):
         with pytest.raises(ValueError, match=r"^dimension-mismatch: "):
             dataset_from_arrays(np.zeros((4, 3)), np.zeros(5))
+
+    @pytest.mark.parametrize(
+        "labels", [[0.7, 1.0, 0.2, 1.9], [0, 1, 2, 1], [0, 1, -1, 1], [0, 1, np.nan, 1]]
+    )
+    def test_array_dataset_refuses_labels_other_than_0_or_1(self, labels):
+        # cast to int64, [0.7, 1.0, 0.2, 1.9] would read as [0, 1, 0, 1]
+        with pytest.raises(ValueError, match=r"^invalid-label: labels must be 0 or 1$"):
+            dataset_from_arrays(np.zeros((4, 3)), labels)
+
+    def test_split_refuses_labels_other_than_0_or_1(self):
+        # four classes: rows of classes 2 and 3 would all land in the training part
+        rng = np.random.default_rng(14)
+        ds = dataset_from_arrays(rng.uniform(-1, 1, (40, 3)), np.arange(40) % 2)
+        ds.labels = np.arange(40) % 4
+        with pytest.raises(ValueError, match=r"^invalid-label: labels must be 0 or 1$"):
+            split(ds, 0.1, seed=0)
 
 
 class TestAuditOutputs:

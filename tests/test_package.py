@@ -86,15 +86,20 @@ def test_only_network_starts_threads():
 
 
 def test_only_network_reads_the_chunk_grid():
-    """No module but ``network.py`` names ``CHUNK_VALUES``: a copy bound elsewhere would miss a changed budget."""
+    """No module but ``network.py`` names ``CHUNK_VALUES``, ``_chunk_rows`` or ``_walk``.
+
+    A copy of the budget bound elsewhere would miss a changed one, and a
+    module that sized or walked its own chunks would bypass ``_chunk_map``.
+    """
+    private = {"CHUNK_VALUES", "_chunk_rows", "_walk"}
     readers = set()
     for path in sorted(Path(kancredit.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             names = [alias.name for alias in node.names] if isinstance(node, ast.ImportFrom) else []
             if (
-                isinstance(node, ast.Name) and node.id == "CHUNK_VALUES"
-                or isinstance(node, ast.Attribute) and node.attr == "CHUNK_VALUES"
-                or "CHUNK_VALUES" in names
+                isinstance(node, ast.Name) and node.id in private
+                or isinstance(node, ast.Attribute) and node.attr in private
+                or private.intersection(names)
             ):
                 readers.add(path.name)
     assert readers == {"network.py"}

@@ -233,10 +233,11 @@ class TestChunkHelper:
         assert threads == {threading.current_thread()}
 
     def test_error_in_a_helper_chunk_reaches_the_caller(self):
+        net, x, _ = _chunked_problem(9, rows=28)
         caller = threading.current_thread()
         helper_failed = threading.Event()
 
-        def chunk(rows):
+        def chunk(rows, layers):
             if threading.current_thread() is caller:
                 helper_failed.wait(timeout=10)
                 return rows.start
@@ -244,22 +245,24 @@ class TestChunkHelper:
             raise FloatingPointError(f"chunk {rows.start} failed")
 
         with pytest.raises(FloatingPointError, match=r"^chunk \d+ failed$"):
-            _chunk_map(chunk, 28, 7)
+            _chunk_map(net, x, chunk)
         assert helper_failed.is_set()
         helper_ran = threading.Event()
-        doubled = _shared_with_the_helper(lambda rows: 2 * rows.start, helper_ran)
-        assert _chunk_map(doubled, 28, 7) == [0, 14, 28, 42]
+        doubled = _shared_with_the_helper(lambda rows, layers: 2 * rows.start, helper_ran)
+        assert _chunk_map(net, x, doubled) == [0, 14, 28, 42]
         assert helper_ran.is_set()
 
     def test_forked_child_after_a_two_thread_call_gets_its_chunks(self):
+        net, x, _ = _chunked_problem(9, rows=28)
         helper_ran = threading.Event()
-        doubled = _shared_with_the_helper(lambda rows: 2 * rows.start, helper_ran)
+        doubled = _shared_with_the_helper(lambda rows, layers: 2 * rows.start, helper_ran)
         # a call whose helper thread took a chunk; the helper is joined before the fork
-        assert _chunk_map(doubled, 28, 7) == [0, 14, 28, 42]
+        assert _chunk_map(net, x, doubled) == [0, 14, 28, 42]
         pid = os.fork()
         if pid == 0:  # the child: exit 0 only if the chunks came back
             signal.alarm(20)
-            os._exit(0 if _chunk_map(lambda rows: 2 * rows.start, 28, 7) == [0, 14, 28, 42] else 1)
+            chunks = _chunk_map(net, x, lambda rows, layers: 2 * rows.start)
+            os._exit(0 if chunks == [0, 14, 28, 42] else 1)
         deadline = time.monotonic() + 30
         while (status := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
             time.sleep(0.01)
@@ -308,10 +311,11 @@ class TestChunkHelper:
         backward(net, x, y)
         assert helper_ran.is_set() and helpers() == []
         caller = threading.current_thread()
+        x = x[:28]
         for raise_on_caller in (True, False):
             ran_on_caller = set()
 
-            def chunk(rows):
+            def chunk(rows, layers):
                 on_caller = threading.current_thread() is caller
                 ran_on_caller.add(on_caller)
                 if on_caller == raise_on_caller:
@@ -319,7 +323,7 @@ class TestChunkHelper:
                 return rows.start
 
             with pytest.raises(FloatingPointError):
-                _chunk_map(chunk, 28, 7)
+                _chunk_map(net, x, chunk)
             assert ran_on_caller == {True, False} and helpers() == []
 
 
@@ -448,11 +452,13 @@ class TestBandPositions:
         assert flatten_params(trained).tobytes() == params.tobytes()
         assert report.loss_history.tobytes() == np.array(history).tobytes()
 
-    def test_range_ends_land_in_the_end_intervals(self):
+    def test_range_ends_land_in_the_end_intervals(self, monkeypatch):
         net = init_network([5, 1], 5, 3, seed=0)
         kv = net.layers[0].knots
         x = np.array([[-1.0, 1.0, -3.0, 3.0, np.nextafter(1.0, 0.0)], [0.0, 0.4, -0.6, 0.99, -1e-300]])
-        span, u = _band_positions(net, x)
+        with monkeypatch.context() as m:  # finding positions runs no layer
+            m.setattr(knet, "_layer_batch", lambda *args: pytest.fail("a layer ran"))
+            span, u = _band_positions(net, x)
         assert span.dtype == np.uint8 and u.dtype == np.float64
         assert span[0].tolist() == [0, 4, 0, 4, 4]
         assert u[0, 0] == u[0, 2] == 0.0 and u[0, 1] == u[0, 3] == pytest.approx(1.0, abs=1e-15)
