@@ -36,7 +36,9 @@ class LogisticModel:
         return self.weights.size
 
 
-def train_logistic(dataset, learning_rate: float = 0.1, steps: int = 100):
+def train_logistic(
+    dataset, learning_rate: float = TrainConfig.learning_rate, steps: int = TrainConfig.steps
+):
     """Fit a logistic model with full-batch Adam from a zero start.
 
     ``dataset`` is anything with ``.features`` (n, d) and ``.labels`` (n,).

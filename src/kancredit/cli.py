@@ -113,17 +113,23 @@ _SPLIT = (
     _Key("seed", int, 42, help="seed for the split (train: also init and batching)"),
     _Key("test_fraction", float, 0.2, help="share of rows held out for the test split"),
 )
+# train's model settings: (key, TrainConfig field, converter, help); each
+# key's default is the field's, and _train_config hands the values back to it
+_TRAIN = (
+    ("width", "widths", _parse_width, "layer widths, e.g. 10,4,1"),
+    ("grid", "grid_count", int, "spline grid interval count"),
+    ("k", "degree", int, "spline degree"),
+    ("lr", "learning_rate", float, "Adam learning rate"),
+    ("steps", "steps", int, "training steps"),
+    ("batch", "batch_size", int, "batch size, -1 for full batch"),
+)
 
 # every subcommand's settings, in --help order; the parser is built from them
 _KEYS = {
     "train": (
         _DATA, _OUT,
-        _Key("width", _parse_width, (10, 4, 1), help="layer widths, e.g. 10,4,1"),
-        _Key("grid", int, 30, help="spline grid interval count"),
-        _Key("k", int, 4, help="spline degree"),
-        _Key("lr", float, 0.1, help="Adam learning rate"),
-        _Key("steps", int, 100, help="training steps"),
-        _Key("batch", int, -1, help="batch size, -1 for full batch"),
+        *(_Key(name, convert, getattr(TrainConfig, field), help=text)
+          for name, field, convert, text in _TRAIN),
         *_SPLIT,
         _Key("dump_data", _parse_bool, False,
              help="also write the preprocessed train/test CSVs and scaler"),
@@ -275,15 +281,7 @@ def _check_against_checkpoint(net, values):
 
 
 def _train_config(values) -> TrainConfig:
-    return TrainConfig(
-        widths=values["width"],
-        grid_count=values["grid"],
-        degree=values["k"],
-        learning_rate=values["lr"],
-        steps=values["steps"],
-        batch_size=values["batch"],
-        seed=values["seed"],
-    )
+    return TrainConfig(seed=values["seed"], **{field: values[name] for name, field, *_ in _TRAIN})
 
 
 # ---------------------------------------------------------------------------
@@ -390,20 +388,16 @@ def cmd_sweep(values) -> Path:
         "width": (10, 1),
         "k": 4,
     } | {k.name: values[k.name] for k in _SPLIT}
-    cells = [
-        base | others | {key: v, "out": str(out / f"{key}_{_fmt(v)}")}
-        for key, swept, others in _SWEEPS
-        for v in swept
-    ]
-    results = [_sweep_cell(cell, train_ds, test_ds) for cell in cells]
-
     # wall-clock seconds differ from run to run, so they go to timings.csv
     # alone and the other sweep files keep their bytes
-    results, timings = iter(results), []
-    for key, swept, _ in _SWEEPS:
-        study = [(v, *result) for v, result in zip(swept, results)]
-        rows = [(v, auc, f1) for v, auc, f1, _ in study]
-        timings += [(key, v, f"{sec:.3f}") for v, _, _, sec in study]
+    timings = []
+    for key, swept, others in _SWEEPS:
+        rows = []
+        for v in swept:
+            cell = base | others | {key: v, "out": str(out / f"{key}_{_fmt(v)}")}
+            auc, f1, seconds = _sweep_cell(cell, train_ds, test_ds)
+            rows.append((v, auc, f1))
+            timings.append((key, v, f"{seconds:.3f}"))
         _write_csv(out / f"{key}_sweep.csv", (key, "roc_auc", "f1"), rows)
         for v, auc, f1 in rows:
             print(f"sweep: {key}={_fmt(v)} roc_auc={_fmt(auc)} f1={_fmt(f1)}")

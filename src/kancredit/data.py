@@ -288,7 +288,8 @@ def _read_columns(fh, width, cells) -> np.ndarray:
     converters = {index: optional_cell for index, _, optional, _ in cells if optional}
     with warnings.catch_warnings():
         warnings.simplefilter("error", UserWarning)  # a file without data rows warns
-        rows = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, converters=converters)
+        rows = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, converters=converters,
+                          encoding=None)  # str cells: numpy < 2.0 hands converters latin1 bytes
     if rows.shape[1] != width:  # rows that are all one width too short or too long still parse
         raise ValueError("a row of the wrong width")
     for index, kind, optional, nonneg in cells:

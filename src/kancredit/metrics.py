@@ -24,6 +24,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from kancredit.data import _binary
+
 __all__ = [
     "ConfusionCounts",
     "RocPoint",
@@ -62,9 +64,7 @@ def _check_pair(scores, labels):
         )
     if s.size == 0:
         raise ValueError("empty-input: need at least one sample")
-    if not np.all((y == 0) | (y == 1)):
-        raise ValueError("invalid-label: labels must be 0 or 1")
-    return s, y.astype(np.int64)
+    return s, _binary(y).astype(np.int64)
 
 
 def confusion_at_threshold(scores, labels, threshold: float, positive_class: int = 1) -> ConfusionCounts:

@@ -42,6 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from kancredit.data import _binary
 from kancredit.network import (
     KanLayer,
     KanNetwork,
@@ -138,9 +139,7 @@ def _labelled(features, labels):
         raise ValueError("empty-batch: dataset has no rows")
     if y.shape != (x.shape[0],):
         raise ValueError(f"dimension-mismatch: labels {y.shape} do not match {x.shape[0]} rows")
-    if not np.all((y == 0) | (y == 1)):
-        raise ValueError("invalid-label: labels must be 0 or 1")
-    return x, y
+    return x, _binary(y)
 
 
 def _check_batch(net: KanNetwork, batch_x, batch_y):

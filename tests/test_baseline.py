@@ -1,5 +1,6 @@
 """Logistic baseline: training behaviour, prediction identity, checkpoints."""
 
+import inspect
 import json
 from types import SimpleNamespace
 
@@ -15,6 +16,7 @@ from kancredit.baseline import (
     train_logistic,
 )
 from kancredit.metrics import roc_auc
+from kancredit.training import TrainConfig
 
 
 def manual_sigmoid(z):
@@ -55,6 +57,17 @@ class TestTrainLogistic:
         empty = SimpleNamespace(features=np.zeros((0, 2)), labels=np.zeros(0))
         with pytest.raises(ValueError, match="empty-batch"):
             train_logistic(empty)
+
+    def test_one_dimensional_features_rejected(self):
+        ds = SimpleNamespace(features=np.zeros(4), labels=np.array([0, 1, 0, 1]))
+        with pytest.raises(ValueError, match=r"^dimension-mismatch: expected \(n, d\) features, got \(4,\)$"):
+            train_logistic(ds)
+
+    def test_fit_settings_default_to_the_networks(self):
+        # the baseline is trained like the networks unless told otherwise
+        defaults = inspect.signature(train_logistic).parameters
+        assert defaults["learning_rate"].default == TrainConfig().learning_rate
+        assert defaults["steps"].default == TrainConfig().steps
 
     def test_non_finite_input_diverges_at_step_one(self, toy_dataset, tmp_path):
         features = toy_dataset.features.copy()

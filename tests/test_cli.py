@@ -1,6 +1,7 @@
 """End-to-end CLI behaviour on synthetic data: exit codes, artifacts, reruns."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -19,7 +20,7 @@ import kancredit.network as knet
 from kancredit.cli import _KEYS, main
 from kancredit.data import load_gmsc_csv, preprocess, split
 from kancredit.network import _layer_batch, init_network, load_network, save_network
-from kancredit.training import train
+from kancredit.training import TrainConfig, train
 
 from conftest import make_gmsc_rows, patch_chunk_rows, write_gmsc_csv
 
@@ -618,6 +619,22 @@ class TestSweep:
             "command=sweep", f"data={path}", f"out={out}", "seed=42", "test_fraction=0.2",
         ]
 
+    def test_each_study_csv_is_written_once_its_cells_are_trained(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        written = []  # the study CSVs in --out as each cell starts to train
+
+        def recording_train(dataset, cfg):
+            written.append(sorted(p.name for p in out.glob("*_sweep.csv")))
+            return train(dataset, cfg)
+
+        monkeypatch.setattr(kcli, "train", recording_train)
+        path = tmp_path / "small.csv"
+        write_gmsc_csv(path, make_gmsc_rows(120, seed=3))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["sweep", "--data", str(path), "--out", str(out)]) == 0
+        assert written == [[]] * 4 + [["grid_sweep.csv"]] * 3
+        assert sorted(p.name for p in out.glob("*_sweep.csv")) == ["grid_sweep.csv", "lr_sweep.csv"]
+
     def test_parallel_flag_is_unrecognized(self, data_csv, tmp_path, capsys):
         out = tmp_path / "out"
         rc = main(["sweep", "--data", str(data_csv), "--out", str(out), "--parallel", "2"])
@@ -875,6 +892,23 @@ class TestSharedSettings:
         keys = {k.name: k for k in _KEYS[command]}
         for shared in kcli._SPLIT:
             assert keys[shared.name] is shared
+
+    def test_train_keys_set_each_train_config_field_but_seed_once(self):
+        # a TrainConfig field without a train key, or a key whose default
+        # drifts from its field's, fails here
+        fields = {f.name: f.default for f in dataclasses.fields(TrainConfig)}
+        keys = {k.name: k for k in _KEYS["train"]}
+        assert sorted(field for _, field, *_ in kcli._TRAIN) == sorted(set(fields) - {"seed"})
+        for name, field, *_ in kcli._TRAIN:
+            assert keys[name].default == fields[field], name
+        defaults = {name: key.default for name, key in keys.items()}
+        base = kcli._train_config(defaults)
+        assert base == TrainConfig(seed=42)
+        others = {"width": (10, 1), "grid": 7, "k": 3, "lr": 0.5, "steps": 9, "batch": 16}
+        for name, field, *_ in kcli._TRAIN:  # each key reaches its own field and no other
+            cfg = kcli._train_config(defaults | {name: others[name]})
+            changed = [f for f in fields if getattr(cfg, f) != getattr(base, f)]
+            assert changed == [field], name
 
 
 class TestUsageErrors:

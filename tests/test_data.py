@@ -184,6 +184,16 @@ def _odd_rows(odd_optional):
     return rows
 
 
+def _odd_file(path):
+    """A file of odd cells that numpy's C reader (or the optional columns' converter) takes."""
+    rows = _odd_rows([" 12 ", " na ", "NULL", "", "NaN", "\xa07\xa0", "-0", "-0.0", " 1 "])
+    rows[20][GMSC_COLUMNS.index("age")] = "\u200345"
+    rows[21][0] = " 1 "
+    rows[22][1] = "\xa00.25"
+    write_gmsc_csv(path, rows)
+    return path
+
+
 def _cell_by_cell(path):
     """The file's schema columns through ``_parse_cell``, one cell at a time."""
     with open(path, newline="", encoding="utf-8") as fh:
@@ -364,14 +374,8 @@ class TestLoadCsv:
         assert seen == []
 
     def test_blocks_equal_per_cell_parse_bit_for_bit(self, tmp_path, monkeypatch):
-        # cells that numpy's C reader (or the optional columns' converter)
-        # takes: the file never reaches the row-by-row parse
-        rows = _odd_rows([" 12 ", " na ", "NULL", "", "NaN", "\xa07\xa0", "-0", "-0.0", " 1 "])
-        rows[20][GMSC_COLUMNS.index("age")] = "\u200345"
-        rows[21][0] = " 1 "
-        rows[22][1] = "\xa00.25"
-        path = tmp_path / "odd.csv"
-        write_gmsc_csv(path, rows)
+        # the file never reaches the row-by-row parse
+        path = _odd_file(tmp_path / "odd.csv")
         expected = _cell_by_cell(path)
         monkeypatch.setattr(data, "_parse_cell", lambda *args: pytest.fail("C reader refused"))
         table = load_gmsc_csv(path)
@@ -380,6 +384,22 @@ class TestLoadCsv:
         assert np.signbit(table.raw[:, FEATURE_NAMES.index("DebtRatio")]).sum() == 13
         assert not np.signbit(table.raw[:, FEATURE_NAMES.index("age")]).any()
         assert np.signbit(table.raw[:, FEATURE_NAMES.index("MonthlyIncome")]).sum() == 2
+
+    def test_numpy_1_loadtxt_takes_the_odd_file_too(self, tmp_path, monkeypatch):
+        # before numpy 2.0, loadtxt hands converters latin1 bytes unless it is
+        # given an encoding, and the optional cells' converter reads str
+        loadtxt = np.loadtxt
+
+        def numpy_1_loadtxt(*args, encoding="bytes", **kwargs):
+            return loadtxt(*args, encoding=encoding, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", numpy_1_loadtxt)
+        path = _odd_file(tmp_path / "odd.csv")
+        expected = _cell_by_cell(path)
+        monkeypatch.setattr(data, "_parse_cell", lambda *args: pytest.fail("C reader refused"))
+        table = load_gmsc_csv(path)
+        assert table.labels.tobytes() == expected[:, 0].astype(np.int64).tobytes()
+        assert table.raw.tobytes() == expected[:, 1:].tobytes()
 
     @pytest.mark.parametrize("odd", ["1_000", "\u0661\u0662"], ids=["underscore", "arabic-indic"])
     def test_cells_only_float_takes_fall_back_bit_for_bit(self, tmp_path, monkeypatch, odd):

@@ -621,6 +621,12 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match=r"^empty-batch: dataset has no rows$"):
             train(ds, cfg)
 
+    def test_one_dimensional_features_rejected(self):
+        ds = SimpleNamespace(features=np.zeros(4), labels=np.array([0, 1, 0, 1]))
+        cfg = TrainConfig(widths=(2, 1), grid_count=5, degree=3, steps=1, seed=0)
+        with pytest.raises(ValueError, match=r"^dimension-mismatch: expected \(n, d\) features, got \(4,\)$"):
+            train(ds, cfg)
+
     def test_single_class_warns_but_trains(self, toy_dataset):
         ds = SimpleNamespace(
             features=toy_dataset.features[:10], labels=np.ones(10, dtype=int)
