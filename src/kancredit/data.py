@@ -113,6 +113,18 @@ class PreprocessPolicy:
             )
 
 
+def _sorted_median(values: np.ndarray) -> float:
+    """``np.median`` of sorted, NaN-free ``values``, bit for bit.
+
+    The middle value, or the mean of the two middle values.
+    """
+    half = values.size // 2
+    if values.size % 2:
+        return float(values[half])
+    with np.errstate(invalid="ignore"):  # a NaN median of infinities is refused by the caller
+        return float((values[half - 1] + values[half]) / 2.0)
+
+
 @dataclass(frozen=True)
 class Scaler:
     """Per-column imputation value plus winsorized [lo, hi] scaling bounds.
@@ -132,7 +144,9 @@ class Scaler:
     def fit(cls, raw: np.ndarray, policy: PreprocessPolicy = PreprocessPolicy()) -> "Scaler":
         """Impute values and bounds from one filled and sorted column at a time.
 
-        A column that holds an infinity after imputation is a coded
+        The income column is sorted before it is filled: its impute value,
+        the median, is read from its sorted observed values and inserted
+        where it sorts.  A column that holds an infinity after imputation is a coded
         ``non-finite-input`` error: its bounds would be NaN.  A matrix with
         no rows is ``empty-input``.
         """
@@ -141,10 +155,6 @@ class Scaler:
             raise ValueError("empty-input: no rows to fit the scaler on")
         impute = np.zeros(n_cols)
         income_col = FEATURE_NAMES.index("MonthlyIncome")
-        observed = raw[:, income_col]
-        observed = observed[~np.isnan(observed)]
-        with np.errstate(invalid="ignore"):  # a NaN median of infinities is refused below
-            impute[income_col] = float(np.median(observed)) if observed.size else 0.0
         # numpy's linear quantile is order statistics i and i + 1 interpolated at
         # gamma = v - i, where v = (n - 1) * q and i = floor(v); it gives the
         # same number from those two alone, where v = gamma and i = 0
@@ -156,8 +166,14 @@ class Scaler:
         lo, hi = np.empty(n_cols), np.empty(n_cols)
         for j in range(n_cols):
             col = raw[:, j].copy()
-            col[np.isnan(col)] = impute[j]
-            col.sort()
+            missing = np.isnan(col)
+            if j == income_col:  # the median of the sorted observed values, inserted once per gap
+                col = np.sort(col[~missing])
+                impute[j] = _sorted_median(col) if col.size else 0.0
+                col = np.insert(col, np.searchsorted(col, impute[j]), np.full(missing.sum(), impute[j]))
+            else:
+                col[missing] = impute[j]
+                col.sort()
             if not (np.isfinite(col[0]) and np.isfinite(col[-1])):  # sorted: any inf or NaN is at an end
                 raise ValueError(f"non-finite-input: column {j}")
             lo[j], hi[j] = (np.quantile(col[i : i + 2], gamma) for i, gamma in cuts)

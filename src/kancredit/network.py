@@ -27,18 +27,25 @@ basis: for each input it gathers the ``degree + 1`` coefficients from
 ``knot_span`` on and weights them by ``basis_values``, summing in a fixed
 order, so an edge's value is the same in any batch.
 
-Full-batch training feeds layer 0 the same matrix at every step, so
-``training.train`` finds that matrix's band positions (each entry's knot
-interval and offset, ``_band_positions``) once per run and passes them to
-``_chunk_map``, which hands each chunk's share to its ``_walk``; layer 0
-then takes its first index from the interval and its band from
-``splines._band_at`` at the offset, the same numbers ``knot_span`` and
-``basis_values`` give.  Every other pass (minibatch steps, hidden layers,
-inference, attribution) has no positions and calls ``knot_span`` and
-``basis_values`` on its inputs, which find the positions once each.  That
-path keeps ``basis_values`` because the benchmark's traced runs
-(``perfbench/run.py``, ``REACHES``) require it to be called; once that pin
-goes, one ``_span_offset`` per layer pass can feed ``_band_at`` everywhere.
+Full-batch training feeds layer 0 the same matrix at every step, and most
+credit features are small counts that repeat.  So ``training.train`` finds
+the matrix's layer-0 codes once per run (``_layer0_codes``): per column,
+its distinct values, their knot spans and offsets, and each entry's index
+into them in the narrowest unsigned type; a column of distinct values
+keeps each entry's knot span and offset instead, so it pays no gather and
+no per-value sum.  Each step then evaluates layer 0 once per distinct
+value (``_value_tables``, in pieces of at most ``CHUNK_VALUES``), and each
+chunk's layer 0 gathers those tables at its codes and sums them as
+``_layer_batch`` does, so every logit keeps its bits.  The backward pass
+sums layer 0's upstream gradient per value over the whole batch, one
+``np.bincount`` per column and output, and takes the layer's gradient from
+those sums at the distinct values (``_value_map``).  Only this module knows
+the codes' layout.  Every other pass (minibatch steps, hidden layers,
+inference, attribution) calls ``knot_span`` and ``basis_values`` on its
+inputs, which find the spans once each.  That path keeps ``basis_values``
+because the benchmark's traced runs (``perfbench/run.py``, ``REACHES``)
+require it to be called; once that pin goes, one ``_span_offset`` per layer
+pass can feed ``_band_at`` everywhere.
 """
 
 from __future__ import annotations
@@ -184,45 +191,49 @@ def _chunk_rows(net: KanNetwork) -> int:
     return max(1, CHUNK_VALUES // per_row)
 
 
-def _chunk_map(net: KanNetwork, X: np.ndarray, per_chunk, positions=None) -> list:
+def _chunk_map(net: KanNetwork, X: np.ndarray, per_chunk, tables=None) -> list:
     """``per_chunk(rows, layers)`` for each chunk ``rows`` of X's rows, on this thread and a helper.
 
-    The chunks are slices of ``_chunk_rows(net)`` rows.  ``layers`` is the
-    lazy ``_walk`` of the chunk ``X[rows]``, given its share of
-    ``positions`` (X's layer-0 band positions from ``_band_positions``)
-    when those are passed; a body that never iterates it runs no layer.
-    For two or more chunks on a multi-CPU host, the call starts one helper
-    thread, which runs every second chunk under the caller's numpy error
-    state while the caller runs the others, and joins it before it returns
-    or raises; the results come back in chunk order.  Concurrent callers
-    each start their own helper.  A chunk that raises does not stop the
-    other thread's chunks: the error reaches the caller once both are done.
+    The chunks are slices of ``_chunk_rows(net)`` rows, run through
+    ``_two_threads``, so the results come back in chunk order.  ``layers``
+    is the lazy ``_walk`` of the chunk ``X[rows]``; a body that never
+    iterates it runs no layer.  ``tables``, if given, are X's layer-0
+    ``_Tables`` of this step, and each chunk's layer 0 is read from them.
     """
-    if positions is not None:
-        shapes = [np.shape(part) for part in positions]
-        if shapes != [X.shape] * 2:
-            raise ValueError(
-                f"dimension-mismatch: positions {shapes} do not match features {X.shape}"
-            )
+    if tables is not None and tables.codes.shape != X.shape:
+        raise ValueError(
+            f"dimension-mismatch: positions {tables.codes.shape} do not match features {X.shape}"
+        )
     step = _chunk_rows(net)
-    chunks = [slice(lo, lo + step) for lo in range(0, X.shape[0], step)]
 
     def run(rows):
-        sliced = None if positions is None else tuple(part[rows] for part in positions)
-        return per_chunk(rows, _walk(net, X[rows], sliced))
+        return per_chunk(rows, _walk(net, X[rows], None if tables is None else tables.at(rows)))
 
-    if len(chunks) < 2 or (os.cpu_count() or 1) < 2:
-        return [run(rows) for rows in chunks]
+    return _two_threads(run, [slice(lo, lo + step) for lo in range(0, X.shape[0], step)])
+
+
+def _two_threads(run, items) -> list:
+    """``[run(item) for item in items]``, every second item on a helper thread.
+
+    For two or more items on a multi-CPU host, the call starts one helper
+    thread, which runs every second item under the caller's numpy error
+    state while the caller runs the others, and joins it before it returns
+    or raises; the results come back in item order.  Concurrent callers
+    each start their own helper.  An item that raises does not stop the
+    other thread's items: the error reaches the caller once both are done.
+    """
+    if len(items) < 2 or (os.cpu_count() or 1) < 2:
+        return [run(item) for item in items]
     errors = np.geterr()
 
-    def helper_chunks():
+    def helper_items():
         with np.errstate(**errors):
-            return [run(rows) for rows in chunks[1::2]]
+            return [run(item) for item in items[1::2]]
 
     with ThreadPoolExecutor(1, thread_name_prefix="kancredit-chunk") as pool:
-        helper = pool.submit(helper_chunks)
-        mine = [run(rows) for rows in chunks[::2]]
-    results = [None] * len(chunks)
+        helper = pool.submit(helper_items)
+        mine = [run(item) for item in items[::2]]
+    results = [None] * len(items)
     results[::2], results[1::2] = mine, helper.result()
     return results
 
@@ -276,66 +287,228 @@ def init_network(widths, grid_count: int, degree: int, seed: int) -> KanNetwork:
     return net
 
 
-def _layer_batch(layer: KanLayer, X: np.ndarray, positions=None):
-    """The layer on a batch X of shape (n, n_in): the one place phi is computed.
+def _layer_batch(layer: KanLayer, X: np.ndarray, cols=None, positions=None):
+    """The layer's edges from inputs ``cols`` on a batch X of those inputs: the one place phi is computed.
 
-    Returns (Y, phi, cache): node sums Y (n, n_out), edge outputs phi
-    (n, n_out, n_in), and the intermediates (X, first, band, spline_out,
-    silu, sigmoid) that the backward pass needs.  ``first`` (n, n_in) is the
-    flat index of the first nonzero basis's coefficient in ``coef[q]``
-    raveled, ``span + p * n_basis``, and ``band`` (degree + 1, n, n_in)
-    the values of the bases from there on.  ``positions``, if given, is
-    X's ``(span, u)`` from ``_band_positions``, and spares finding them again.
+    ``cols`` (all inputs by default) are the input indices of X's columns,
+    so X has shape (n, len(cols)).  Returns (Y, phi, cache): node sums Y
+    (n, n_out) over those inputs, edge outputs phi (n, n_out, len(cols)),
+    and the intermediates (X, first, band, spline_out, silu, sigmoid, cols)
+    that the backward pass needs, ``first`` and ``band`` from
+    ``_layer_band``.  ``positions``, if given, are X's knot spans and
+    offsets, and spare finding them again.
     """
-    n = X.shape[0]
-    kv = layer.knots
-    if positions is None:
-        span = knot_span(kv, X.ravel()).reshape(n, layer.n_in)
-        band = basis_values(kv, X.ravel()).T
-    else:
-        span, u = positions
-        band = _band_at(kv, u.ravel(), 0)
-    first = span + np.arange(layer.n_in) * kv.n_basis
-    band = band.reshape(-1, n, layer.n_in)
+    cols = np.arange(layer.n_in) if cols is None else cols
+    first, band = _layer_band(layer.knots, X, cols, positions)
     coef = layer.coef.reshape(layer.n_out, -1)
     spline_out = _band_dot(coef, first, band).transpose(1, 0, 2)
     sig = sigmoid(X)
     sil = X * sig
-    phi = layer.w_b[None, :, :] * sil[:, None, :]
-    phi += layer.w_s[None, :, :] * spline_out
-    return phi.sum(axis=2), phi, (X, first, band, spline_out, sil, sig)
+    # phi is C-ordered whatever the layout of the weights, so every sum over it is the same
+    phi = np.multiply(layer.w_b[None, :, cols], sil[:, None, :], out=np.empty(spline_out.shape))
+    phi += layer.w_s[None, :, cols] * spline_out
+    return phi.sum(axis=2), phi, (X, first, band, spline_out, sil, sig, cols)
 
 
-def _band_positions(net: KanNetwork, X: np.ndarray):
-    """Each entry's knot interval ``span`` and offset ``u`` in it, as ``net``'s layer 0 takes them.
+def _layer_band(kv: KnotVector, X: np.ndarray, cols, positions=None):
+    """``first`` (n, len(cols)) and ``band`` (degree + 1, n, len(cols)) of a layer's inputs ``cols`` at X.
 
-    ``span`` is stored in the narrowest unsigned type that holds
-    ``interior_count - 1`` (one byte per entry up to 256 intervals) and
-    ``u`` as float64, both of X's shape (n, n_in), filled chunk by chunk.
+    ``first`` is the flat index of the first nonzero basis's coefficient in
+    ``coef[q]`` raveled, ``span + p * n_basis``, and ``band`` the values of
+    the bases from there on.  ``positions``, if given, are X's knot spans
+    and offsets in them (``_span_offset``), each of X's shape, and spare
+    finding them again.
+    """
+    if positions is None:
+        span = knot_span(kv, X.ravel()).reshape(X.shape)
+        band = basis_values(kv, X.ravel()).T
+    else:
+        span, u = positions
+        band = _band_at(kv, u.ravel(), 0)
+    return span + cols * kv.n_basis, band.reshape(kv.degree + 1, *X.shape)
+
+
+@dataclass(frozen=True)
+class _Codes:
+    """Layer 0's codes of one feature matrix of ``shape``, from ``_layer0_codes``.
+
+    A column that repeats a value is *tabled*: ``values[i]`` holds the
+    distinct values of column ``tabled[i]`` (distinct bit patterns, so
+    -0.0 and 0.0 are two values, in bit-pattern order), ``codes[i]`` each
+    entry's index into them and ``value_positions[i]`` the values' knot
+    spans and offsets.  A column of distinct values is *plain*:
+    ``positions`` holds the knot span and offset of each entry of the
+    ``plain`` columns, each of shape (n, len(plain)).  Codes and spans are
+    stored in the narrowest unsigned type that holds them.
+    """
+
+    shape: tuple
+    plain: np.ndarray
+    positions: tuple
+    tabled: np.ndarray
+    values: tuple
+    value_positions: tuple
+    codes: tuple
+
+    @property
+    def nbytes(self) -> int:
+        arrays = (*self.positions, *self.values, *self.codes)
+        return sum(a.nbytes for a in arrays) + sum(a.nbytes for pos in self.value_positions for a in pos)
+
+
+def _layer0_codes(net: KanNetwork, X: np.ndarray) -> _Codes:
+    """X's ``_Codes`` for ``net``'s layer 0, found once per full-batch run.
+
+    Column by column on ``_two_threads``: each column's distinct values
+    come from ``np.unique`` on its bit patterns, and every span and offset
+    from ``_span_offset``, as ``knot_span`` and ``basis_values`` find them.
+    The plain columns' spans and offsets are then written into their
+    arrays ``_chunk_rows`` rows at a time, so none are held twice.
     """
     kv = net.layers[0].knots
-    span = np.empty(X.shape, dtype=np.min_scalar_type(kv.interior_count - 1))
-    u = np.empty(X.shape)
+    span_type = np.min_scalar_type(kv.interior_count - 1)
 
-    def chunk(rows, layers):  # positions only: no layer runs
-        chunk_span, chunk_u, _ = _span_offset(kv, X[rows].ravel())
-        span[rows] = chunk_span.reshape(-1, X.shape[1])
-        u[rows] = chunk_u.reshape(-1, X.shape[1])
+    def positions(points):
+        span, u, _ = _span_offset(kv, points)
+        return span.astype(span_type), u
 
-    _chunk_map(net, X, chunk)
-    return span, u
+    def column(p):  # the column's values, their positions and its codes; None if no value repeats
+        bits, code = np.unique(X[:, p].view(np.uint64), return_inverse=True)
+        if bits.size == X.shape[0]:
+            return None
+        values = bits.view(np.float64)
+        return values, positions(values), code.astype(np.min_scalar_type(bits.size - 1))
+
+    found = _two_threads(column, range(X.shape[1]))
+    plain = np.array([p for p, f in enumerate(found) if f is None], dtype=np.intp)
+    tabled = np.array([p for p, f in enumerate(found) if f is not None], dtype=np.intp)
+    spans, offsets = np.empty((X.shape[0], plain.size), dtype=span_type), np.empty((X.shape[0], plain.size))
+
+    def fill(rows):
+        span, u = positions(X[rows, plain].ravel())
+        spans[rows], offsets[rows] = span.reshape(-1, plain.size), u.reshape(-1, plain.size)
+
+    step = _chunk_rows(net)
+    _two_threads(fill, [slice(lo, lo + step) for lo in range(0, X.shape[0], step)] if plain.size else [])
+    values, value_positions, codes = zip(*[found[p] for p in tabled]) if tabled.size else ((), (), ())
+    return _Codes(X.shape, plain, (spans, offsets), tabled, values, value_positions, codes)
 
 
-def _walk(net: KanNetwork, X: np.ndarray, positions=None):
+@dataclass(frozen=True)
+class _Tables:
+    """Layer 0 at each tabled column's distinct values, for one step: ``_value_tables``.
+
+    Per tabled column of ``codes``: its edge outputs ``phi`` (m, n_out),
+    and the ``spline`` (m, n_out, 1) and ``silu`` (m, 1) values that its
+    gradient needs.
+    """
+
+    codes: _Codes
+    phi: list
+    spline: list
+    silu: list
+
+    def at(self, rows) -> "_Tables":
+        """The tables with the codes of the matrix's rows ``rows``, a slice."""
+        c = self.codes
+        n = len(range(*rows.indices(c.shape[0])))
+        chunk = _Codes((n, c.shape[1]), c.plain, tuple(part[rows] for part in c.positions), c.tabled,
+                       c.values, c.value_positions, tuple(code[rows] for code in c.codes))
+        return _Tables(chunk, self.phi, self.spline, self.silu)
+
+
+def _value_pieces(net: KanNetwork, codes: _Codes) -> list:
+    """(i, piece) for each slice ``piece`` of tabled column i's distinct values.
+
+    Layer 0 on one input holds ``degree + 1 + n_out`` values per row, the
+    band and the edge outputs, so a piece holds ``CHUNK_VALUES`` over that.
+    """
+    step = max(1, CHUNK_VALUES // (net.degree + 1 + net.widths[1]))
+    return [(i, slice(lo, lo + step)) for i, values in enumerate(codes.values)
+            for lo in range(0, values.size, step)]
+
+
+def _value_tables(net: KanNetwork, codes: _Codes) -> _Tables:
+    """This step's ``_Tables``: ``_layer_batch`` of layer 0 once per distinct value of each tabled column.
+
+    The ``_value_pieces`` run on ``_two_threads``, each writing its slice of its column's tables.
+    """
+    layer = net.layers[0]
+    phi = [np.empty((v.size, layer.n_out)) for v in codes.values]
+    spline = [np.empty((v.size, layer.n_out, 1)) for v in codes.values]
+    silu = [np.empty((v.size, 1)) for v in codes.values]
+
+    def piece_tables(item):
+        i, piece = item
+        values = codes.values[i][piece, None]
+        positions = tuple(part[piece, None] for part in codes.value_positions[i])
+        _, piece_phi, cache = _layer_batch(layer, values, codes.tabled[i : i + 1], positions)
+        phi[i][piece] = piece_phi[:, :, 0]
+        spline[i][piece], silu[i][piece] = cache[3], cache[4]
+
+    _two_threads(piece_tables, _value_pieces(net, codes))
+    return _Tables(codes, phi, spline, silu)
+
+
+def _value_map(net: KanNetwork, tables: _Tables, grad: np.ndarray, per_piece) -> list:
+    """``per_piece(cache, sums)`` for each of ``_value_pieces``, on ``_two_threads``, in order.
+
+    ``grad`` (n, n_out) is the upstream gradient on layer 0's node sums
+    over the whole matrix.  ``sums`` holds its sum over the entries of each
+    of the piece's values, from one ``np.bincount`` per column and output
+    over the whole matrix, and ``cache`` is ``_layer_batch``'s cache of
+    layer 0 on the piece's values alone, but for the values and sigmoid
+    that the parameter gradient does not read.  A gradient that is linear
+    in ``grad`` is the same computed from the two.
+    """
+    codes, kv = tables.codes, net.layers[0].knots
+
+    def column_sums(i):
+        return np.stack([np.bincount(codes.codes[i], g, codes.values[i].size) for g in grad.T], axis=1)
+
+    sums = _two_threads(column_sums, range(codes.tabled.size))
+
+    def piece_map(item):
+        i, piece = item
+        cols = codes.tabled[i : i + 1]
+        positions = tuple(part[piece, None] for part in codes.value_positions[i])
+        first, band = _layer_band(kv, codes.values[i][piece, None], cols, positions)
+        cache = (None, first, band, tables.spline[i][piece], tables.silu[i][piece], None, cols)
+        return per_piece(cache, sums[i][piece])
+
+    return _two_threads(piece_map, _value_pieces(net, codes))
+
+
+def _coded_batch(layer: KanLayer, X: np.ndarray, tables: _Tables):
+    """``_layer_batch`` of layer 0 on X read from ``tables``: the same Y and phi, the plain columns' cache.
+
+    Plain columns run through ``_layer_batch`` at their positions, and each
+    tabled column's edge outputs are its table gathered at its codes.  The
+    cache is None when every column is tabled.
+    """
+    codes = tables.codes
+    if not codes.tabled.size:
+        return _layer_batch(layer, X, None, codes.positions)
+    phi = np.empty((X.shape[0], layer.n_out, layer.n_in))
+    cache = None
+    if codes.plain.size:
+        plain = _layer_batch(layer, X.take(codes.plain, axis=1), codes.plain, codes.positions)
+        phi[:, :, codes.plain], cache = plain[1], plain[2]
+    for p, table, code in zip(codes.tabled, tables.phi, codes.codes):
+        phi[:, :, p] = table.take(code, axis=0)
+    return phi.sum(axis=2), phi, cache
+
+
+def _walk(net: KanNetwork, X: np.ndarray, tables=None):
     """Each layer's ``_layer_batch`` result (Y, phi, cache) in turn, its Y the next layer's input.
 
     The one walk of a batch through the layers.  It yields, so a caller
-    keeps of each layer only what it needs.  ``positions`` are X's band
-    positions, for layer 0 only.
+    keeps of each layer only what it needs.  ``tables``, if given, are X's
+    layer-0 ``_Tables``, for layer 0 only (``_coded_batch``).
     """
     for layer in net.layers:
-        X, phi, cache = _layer_batch(layer, X, positions)
-        positions = None
+        X, phi, cache = _layer_batch(layer, X) if tables is None else _coded_batch(layer, X, tables)
+        tables = None
         yield X, phi, cache
 
 

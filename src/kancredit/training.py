@@ -25,13 +25,18 @@ full-batch training on hundreds of thousands of rows stays inside a small
 memory budget.  Each chunk's loss sum and gradient go into buffers of their
 own, which are added up in chunk order.
 
-When every step sees all rows, ``train`` finds layer 0's band positions of
-the training matrix once, on its first step (``network._band_positions``),
-and passes them to every ``backward``, which hands them on to
-``_chunk_map``.  Minibatch steps and ``grad_check`` pass none.  Both give
-the same numbers, so a full-batch run is bit for bit the loop of plain
-``backward`` calls.  Full-batch steps still call the public ``backward``
-once each, which the benchmark times step by step.
+When every step sees all rows, ``train`` finds layer 0's codes of the
+training matrix once, on its first step (``network._layer0_codes``), and
+passes them to every ``backward``.  ``backward`` then has layer 0 evaluated
+once per distinct value of each column that repeats one, keeps layer 0's
+upstream gradient rows through the chunks, and adds layer 0's gradient
+from their per-value sums after the chunks (``network._value_map``).  At
+the same parameters, the loss and every gradient past layer 0 are plain
+``backward``'s bit for bit; layer 0's own gradient sums the same terms in
+another order, within about 1e-14 relative, so a full-batch run moves from
+the loop of plain ``backward`` calls in its last bits.  Minibatch steps and
+``grad_check`` pass no codes.  Full-batch steps still call the public
+``backward`` once each, which the benchmark times step by step.
 """
 
 from __future__ import annotations
@@ -46,10 +51,12 @@ from kancredit.data import _binary
 from kancredit.network import (
     KanLayer,
     KanNetwork,
-    _band_positions,
     _check_features,
     _chunk_map,
+    _layer0_codes,
     _param_views,
+    _value_map,
+    _value_tables,
     flatten_params,
     init_network,
     network_logits,
@@ -149,14 +156,15 @@ def _check_batch(net: KanNetwork, batch_x, batch_y):
 def _layer_backward(layer: KanLayer, cache, grad, grad_views, need_input: bool):
     """Add one layer's parameter gradients into ``grad_views`` (d_wb, d_ws, d_coef).
 
-    ``cache`` comes from ``_layer_batch`` and ``grad`` (n, n_out) is the
-    upstream gradient on the node sums.  Returns the gradient on the layer's
-    input when ``need_input``, else None.
+    ``cache`` comes from ``_layer_batch``, on all the layer's inputs or on
+    some of them, and ``grad`` (n, n_out) is the upstream gradient on the
+    node sums.  Returns the gradient on the layer's input when
+    ``need_input`` (a cache on all inputs), else None.
     """
-    x, first, band, spline_out, sil, sig = cache
+    x, first, band, spline_out, sil, sig, cols = cache
     d_wb, d_ws, d_coef = grad_views
-    d_wb += np.einsum("nq,np->qp", grad, sil)
-    d_ws += np.einsum("nq,nqp->qp", grad, spline_out)
+    d_wb[:, cols] += np.einsum("nq,np->qp", grad, sil)
+    d_ws[:, cols] += np.einsum("nq,nqp->qp", grad, spline_out)
     index = (first + np.arange(band.shape[0])[:, None, None]).ravel()
     for q in range(layer.n_out):
         summed = np.bincount(index, (grad[:, q, None] * band).ravel(), d_coef[q].size)
@@ -174,33 +182,49 @@ def _layer_backward(layer: KanLayer, cache, grad, grad_views, need_input: bool):
     )
 
 
-def backward(net: KanNetwork, batch_x, batch_y, positions=None):
+def backward(net: KanNetwork, batch_x, batch_y, codes=None):
     """Mean BCE loss and its gradient in canonical parameter order.
 
     The batch runs through ``network._chunk_map``.  Each chunk's loss sum
     and gradient are computed in buffers of their own and added up in chunk
-    order.  ``positions``, if given, is ``batch_x``'s layer-0 band positions
-    from ``network._band_positions``: layer 0 then reads them instead of
-    finding them again, with the same result.
+    order.  ``codes``, if given, are ``batch_x``'s layer-0 codes from
+    ``network._layer0_codes``: layer 0 then runs once per distinct value of
+    each tabled column, and its gradient there comes from the upstream
+    gradient summed per value over the whole batch (``network._value_map``),
+    added after the chunks.
     """
     x, y = _check_batch(net, batch_x, batch_y)
     n_total = x.shape[0]
+    n_basis = net.layers[0].knots.n_basis
+    # layer 0's upstream gradient over the batch, for its tabled columns
+    grad0 = None if codes is None else np.empty((n_total, net.widths[1]))
 
     def chunk(rows, layers):
         flat = np.zeros_like(net.params)
-        grad_views = _param_views(flat, net.widths, net.layers[0].knots.n_basis)
+        grad_views = _param_views(flat, net.widths, n_basis)
         # each layer's output and cache, not its phi: every phi held to the end would raise the peak
         outs, caches = zip(*[(out, cache) for out, _, cache in layers])
         z, yc = outs[-1][:, 0], y[rows]
         grad = ((sigmoid(z) - yc) / n_total)[:, None]
         for li in range(len(net.layers) - 1, -1, -1):
-            grad = _layer_backward(net.layers[li], caches[li], grad, grad_views[li], li > 0)
+            if li == 0 and grad0 is not None:
+                grad0[rows] = grad
+            if caches[li] is not None:
+                grad = _layer_backward(net.layers[li], caches[li], grad, grad_views[li], li > 0)
         return np.sum(_bce_terms(z, yc)), flat
 
+    def piece(cache, sums):
+        flat = np.zeros_like(net.params)
+        _layer_backward(net.layers[0], cache, sums, _param_views(flat, net.widths, n_basis)[0], False)
+        return flat
+
+    tables = None if codes is None else _value_tables(net, codes)
     loss_sum, total = 0.0, np.zeros_like(net.params)
-    for chunk_loss, chunk_grad in _chunk_map(net, x, chunk, positions):
+    for chunk_loss, chunk_grad in _chunk_map(net, x, chunk, tables):
         loss_sum += chunk_loss
         total += chunk_grad
+    for piece_grad in [] if tables is None else _value_map(net, tables, grad0, piece):
+        total += piece_grad
     return loss_sum / n_total, total
 
 
@@ -251,22 +275,22 @@ def train(dataset, cfg: TrainConfig):
     """Train a fresh network on ``dataset`` (anything with .features/.labels).
 
     A non-finite loss or gradient stops the run before its Adam update with
-    ``diverged: step N``.  When every step sees all rows, layer 0's band
-    positions of the training matrix are found once, on the first step.
+    ``diverged: step N``.  When every step sees all rows, layer 0's codes
+    of the training matrix are found once, on the first step.
     """
     net = init_network(list(cfg.widths), cfg.grid_count, cfg.degree, cfg.seed)
     rng = np.random.default_rng(cfg.seed)
-    positions = None
+    codes = None
 
     def loss_and_grad(params, x, y):
-        nonlocal positions
+        nonlocal codes
         set_params(net, params)
         if cfg.batch_size != -1 and cfg.batch_size < x.shape[0]:
             idx = rng.choice(x.shape[0], size=cfg.batch_size, replace=False)
             return backward(net, x[idx], y[idx])
-        if positions is None:
-            positions = _band_positions(net, x)
-        return backward(net, x, y, positions)
+        if codes is None:
+            codes = _layer0_codes(net, x)
+        return backward(net, x, y, codes)
 
     params, history, seconds = _fit(dataset, flatten_params(net), loss_and_grad, cfg)
     set_params(net, params)

@@ -634,6 +634,17 @@ class TestPreprocess:
             scaled = -1.0 + 2.0 * (np.clip(filled, lo, hi) - lo) / span
         assert sc.transform(raw).tobytes() == np.where(span > 0, scaled, 0.0).tobytes()
 
+    @pytest.mark.parametrize(
+        "case",
+        ["ties", "constant", "one row", "two rows", "all-NaN income", "NaN in a required column", "signed zeros"],
+    )
+    def test_income_median_equals_numpy_median_bit_for_bit(self, case):
+        raw = self.adversarial_raw(case)
+        income = FEATURE_NAMES.index("MonthlyIncome")
+        observed = raw[:, income][~np.isnan(raw[:, income])]
+        want = np.median(observed) if observed.size else 0.0  # no income at all imputes 0
+        assert np.float64(Scaler.fit(raw).impute[income]).tobytes() == np.float64(want).tobytes()
+
     def test_signed_zero_bounds_scale_to_the_same_bits(self):
         raw = self.adversarial_raw("signed zeros")
         sc = Scaler.fit(raw)

@@ -15,9 +15,10 @@ import kancredit.network as knet
 import kancredit.training as ktrain
 from kancredit.explain import edge_scores
 from kancredit.network import (
-    _band_positions,
     _chunk_map,
+    _layer0_codes,
     _layer_batch,
+    _value_tables,
     flatten_params,
     init_network,
     network_logits,
@@ -372,10 +373,13 @@ class TestTwoThreadPeakMemory:
         return peak
 
     def test_full_batch_train_holds_only_the_positions_more(self, monkeypatch):
-        # layer 0's positions are 9 bytes per entry; a cached band would be 40 (degree 4)
+        # layer 0's codes: 9 bytes per entry of a plain (all-distinct) column, its knot span
+        # and offset, and 1 byte per entry of a count column, its code; a cached band would
+        # take 40 per entry (degree 4)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         rng = np.random.default_rng(29)
         x = rng.uniform(-1.2, 1.2, size=(16384, 10))
+        x[:, 5:] = rng.integers(0, 15, size=(16384, 5)) / 7.0 - 1.0
         y = rng.integers(0, 2, size=16384).astype(np.float64)
         cfg = TrainConfig(widths=(10, 4, 1), grid_count=30, degree=4, steps=2, seed=3)
         # a first run imports numpy.ma (about 1 MB), which is no part of a run's memory
@@ -389,22 +393,43 @@ class TestTwoThreadPeakMemory:
         finally:
             tracemalloc.stop()
         assert helper_ran.is_set()
-        assert peak < 10e6 + 9 * x.size
+        codes = _layer0_codes(init_network(list(cfg.widths), cfg.grid_count, cfg.degree, cfg.seed), x)
+        assert codes.plain.tolist() == [0, 1, 2, 3, 4] and codes.nbytes < 5.1 * x.size
+        assert peak < 10e6 + codes.nbytes
 
 
 def _positions_problem(widths, grid_count, seed, rows=23):
-    """A perturbed net and a batch whose first row holds the range ends and points past them."""
+    """A perturbed net and a batch with plain and tabled columns for its layer-0 codes.
+
+    Columns 0-4 are uniform, so every entry is distinct, and the first row
+    holds the range ends and points past them.  Columns 5-8 take a few
+    values each, -0.0 beside 0.0 in column 6, and column 9 is constant.
+    """
     net = init_network(widths, grid_count, 4, seed=seed)
     rng = np.random.default_rng(seed)
     set_params(net, rng.normal(0, 0.5, parameter_count(net)))
     x = rng.uniform(-1.2, 1.2, size=(rows, widths[0]))
     x[0, :4] = (-1.0, 1.0, -3.0, 3.0)
+    x[:, 5:9] = rng.integers(-2, 3, size=(rows, 4)) / 2.0
+    x[:2, 6] = (-0.0, 0.0)
+    x[:, 9] = 0.3
     y = (rng.random(rows) < 0.4).astype(np.float64)
     return net, x, y
 
 
+def _layer0_block(net):
+    """The length of layer 0's (w_b, w_s, coef) block at the front of the parameter buffer."""
+    layer = net.layers[0]
+    return layer.n_out * layer.n_in * (2 + layer.knots.n_basis)
+
+
 class TestBandPositions:
-    """Layer 0's band positions, found once per full-batch run, against finding them per chunk."""
+    """Layer 0's codes, found once per full-batch run, against plain ``backward``.
+
+    Logits, the loss and every gradient past layer 0 keep every bit.  Layer
+    0's own gradient sums each tabled column's entries per value first, in
+    another order, so it is compared at 1e-13 relative.
+    """
 
     @pytest.mark.parametrize("cpus", [2, 1], ids=["helper", "one_cpu"])
     @pytest.mark.parametrize(
@@ -412,23 +437,35 @@ class TestBandPositions:
     )
     def test_backward_with_positions_keeps_every_bit(self, monkeypatch, widths, grid_count, cpus):
         patch_chunk_rows(monkeypatch, 7)  # 7 + 7 + 7 + 2 rows
+        monkeypatch.setattr(knet, "CHUNK_VALUES", 12)  # pieces of 2 distinct values (10x1), 1 (10x4x1)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         net, x, y = _positions_problem(widths, grid_count, seed=41)
         plain_loss, plain_grad = backward(net, x, y)
-        positions = _band_positions(net, x)
+        codes = _layer0_codes(net, x)
+        assert codes.plain.tolist() == [0, 1, 2, 3, 4] and codes.tabled.tolist() == [5, 6, 7, 8, 9]
         spans_found = []
         counting_span = lambda kv, points: spans_found.append(np.size(points)) or knot_span(kv, points)
         helper_ran = threading.Event()
+
+        def chunk(rows, layers):
+            for out, _, _ in layers:
+                pass
+            return out[:, 0]
+
         with monkeypatch.context() as m:
             m.setattr(knet, "knot_span", counting_span)
             if cpus == 2:
                 m.setattr(knet, "_layer_batch", _shared_with_the_helper(_layer_batch, helper_ran))
-            loss, grad = backward(net, x, y, positions)
+            loss, grad = backward(net, x, y, codes)
         assert helper_ran.is_set() == (cpus == 2)
-        # only hidden layers find their own positions
+        # only hidden layers find their own spans: layer 0's were found with its codes
         assert sum(spans_found) == 23 * sum(widths[1:-1])
+        logits = np.concatenate(_chunk_map(net, x, chunk, _value_tables(net, codes)))
+        assert logits.tobytes() == network_logits(net, x).tobytes()
         assert np.float64(loss).tobytes() == np.float64(plain_loss).tobytes()
-        assert grad.tobytes() == plain_grad.tobytes()
+        block = _layer0_block(net)
+        assert grad[block:].tobytes() == plain_grad[block:].tobytes()
+        np.testing.assert_allclose(grad[:block], plain_grad[:block], rtol=1e-13, atol=0)
 
     @pytest.mark.parametrize("batch", ["all", "n"])
     def test_full_batch_train_is_the_plain_backward_loop(self, monkeypatch, batch):
@@ -438,8 +475,8 @@ class TestBandPositions:
         cfg = TrainConfig(widths=(10, 4, 1), grid_count=30, degree=4, steps=6, seed=5,
                           batch_size=-1 if batch == "all" else x.shape[0])
         found = []
-        counting = lambda net, X: found.append(X.shape) or _band_positions(net, X)
-        monkeypatch.setattr(ktrain, "_band_positions", counting)
+        counting = lambda net, X: found.append(X.shape) or _layer0_codes(net, X)
+        monkeypatch.setattr(ktrain, "_layer0_codes", counting)
         trained, report = train(SimpleNamespace(features=x, labels=y), cfg)
         assert found == [x.shape]
         net = init_network(list(cfg.widths), cfg.grid_count, cfg.degree, cfg.seed)
@@ -449,21 +486,59 @@ class TestBandPositions:
             loss, grads = backward(net, x, y)
             params, state = adam_step(params, grads, state, t, cfg)
             history.append(loss)
-        assert flatten_params(trained).tobytes() == params.tobytes()
-        assert report.loss_history.tobytes() == np.array(history).tobytes()
+        # layer 0's gradient moves in its last bits, and Adam carries that into every
+        # parameter: 1.4e-13 at most here, against parameters of about 0.01 to 1
+        np.testing.assert_allclose(flatten_params(trained), params, rtol=0, atol=1e-11)
+        np.testing.assert_allclose(report.loss_history, history, rtol=1e-13, atol=0)
+        assert report.loss_history[0] == history[0]
 
     def test_range_ends_land_in_the_end_intervals(self, monkeypatch):
         net = init_network([5, 1], 5, 3, seed=0)
         kv = net.layers[0].knots
         x = np.array([[-1.0, 1.0, -3.0, 3.0, np.nextafter(1.0, 0.0)], [0.0, 0.4, -0.6, 0.99, -1e-300]])
-        with monkeypatch.context() as m:  # finding positions runs no layer
+        with monkeypatch.context() as m:  # finding codes runs no layer
             m.setattr(knet, "_layer_batch", lambda *args: pytest.fail("a layer ran"))
-            span, u = _band_positions(net, x)
+            codes = _layer0_codes(net, x)
+        assert codes.plain.tolist() == [0, 1, 2, 3, 4] and codes.tabled.size == 0
+        span, u = codes.positions
         assert span.dtype == np.uint8 and u.dtype == np.float64
         assert span[0].tolist() == [0, 4, 0, 4, 4]
         assert u[0, 0] == u[0, 2] == 0.0 and u[0, 1] == u[0, 3] == pytest.approx(1.0, abs=1e-15)
         assert np.array_equal(span, knot_span(kv, x.ravel()).reshape(x.shape))
-        assert u.tobytes() == _span_offset(kv, x.ravel())[1].tobytes()
+        assert u.tobytes() == _span_offset(kv, x.ravel())[1].reshape(x.shape).tobytes()
+
+    def test_tabled_columns_hold_each_entry_bit_for_bit(self):
+        net = init_network([5, 1], 80, 4, seed=0)
+        x = np.array([
+            [-1.0, -3.0, -0.0, 0.3, 0.7],
+            [1.0, 3.0, 0.0, 0.3, 0.1],
+            [-1.0, -3.0, 0.0, 0.3, 0.2],
+            [1.0, 3.0, -0.0, 0.3, -0.4],
+        ])
+        codes = _layer0_codes(net, x)
+        # ends of the range, +-3 and -0.0 beside 0.0 repeat; 0.3 is constant; the last column is all distinct
+        assert codes.tabled.tolist() == [0, 1, 2, 3] and codes.plain.tolist() == [4]
+        assert [values.size for values in codes.values] == [2, 2, 2, 1]
+        kv = net.layers[0].knots
+        for p, values, (span, u), code in zip(codes.tabled, codes.values, codes.value_positions, codes.codes):
+            assert values[code].tobytes() == x[:, p].tobytes()
+            assert span.dtype == np.uint8 and np.array_equal(span, knot_span(kv, values))
+            assert u.tobytes() == _span_offset(kv, values)[1].tobytes()
+        assert codes.codes[2][0] != codes.codes[2][1]  # -0.0 and 0.0 are two values
+        assert codes.values[3].tolist() == [0.3] and codes.codes[3].tolist() == [0, 0, 0, 0]
+        assert codes.positions[0][:, 0].tolist() == knot_span(kv, x[:, 4]).tolist()
+        # each plain entry's span and offset, each value with its span and offset, each entry's code
+        assert codes.nbytes == 4 * (1 + 8) + 7 * (8 + 1 + 8) + 4 * 4 * 1
+
+    @pytest.mark.parametrize("distinct, dtype", [(1, np.uint8), (256, np.uint8), (257, np.uint16)])
+    def test_code_type_is_the_narrowest_per_column(self, distinct, dtype):
+        net = init_network([2, 1], 5, 3, seed=0)
+        x = np.zeros((2 * distinct, 2))
+        x[:, 0] = np.linspace(-1.0, 1.0, distinct).repeat(2)
+        codes = _layer0_codes(net, x)
+        assert codes.tabled.tolist() == [0, 1]
+        assert [code.dtype for code in codes.codes] == [dtype, np.uint8]
+        assert codes.values[0][codes.codes[0]].tobytes() == x[:, 0].tobytes()
 
     @pytest.mark.parametrize(
         "grid_count, dtype", [(1, np.uint8), (256, np.uint8), (257, np.uint16), (300, np.uint16)]
@@ -472,14 +547,14 @@ class TestBandPositions:
         net = init_network([3, 1], grid_count, 3, seed=0)
         kv = net.layers[0].knots
         x = np.array([[1.0, -1.0, 0.5]])
-        span, _ = _band_positions(net, x)
+        span, _ = _layer0_codes(net, x).positions
         assert span.dtype == dtype
         assert span.tolist() == [[grid_count - 1, 0, knot_span(kv, 0.5)]]
 
     def test_positions_of_another_shape_are_refused(self):
         net, x, y = _positions_problem([10, 1], 80, seed=43)
         message = r"^dimension-mismatch: positions .* do not match features \(23, 10\)$"
-        for wrong in (_band_positions(net, x[:-1]), _band_positions(net, x[:, :-1]), _band_positions(net, x)[:1]):
+        for wrong in (_layer0_codes(net, x[:-1]), _layer0_codes(net, x[:, :-1])):
             with pytest.raises(ValueError, match=message):
                 backward(net, x, y, wrong)
 
